@@ -101,7 +101,13 @@ def mcnaughton_layout(
             f"({num_processors} processors x {length})"
         )
     segments: list[Segment] = []
-    cursor = 0.0  # position on the virtual timeline [0, num_processors*length)
+    # Position on the virtual timeline: strip index plus offset into it.
+    # Tracking the strip as an integer (rather than re-deriving it from a
+    # float cursor) guarantees progress: every pass either exhausts the
+    # job or moves to the next strip, and the last strip takes whatever
+    # is left — float dust within the capacity check's tolerance.
+    strip, offset = 0, 0.0
+    last = num_processors - 1
     for job, dur in zip(job_ids, durations):
         dur = float(dur)
         if dur <= _DURATION_EPS:
@@ -113,25 +119,20 @@ def mcnaughton_layout(
             )
         remaining = dur
         while remaining > _DURATION_EPS:
-            strip = int(cursor / length)
-            # Floating-point guard: cursor can land a hair past a boundary.
-            strip = min(strip, num_processors - 1)
-            offset = cursor - strip * length
-            take = min(remaining, length - offset)
-            if take <= _DURATION_EPS:
-                # At the exact end of a strip: advance to the next one.
-                cursor = (strip + 1) * length
-                continue
-            segments.append(
-                Segment(
-                    job=job,
-                    processor=first_processor + strip,
-                    start=start + offset,
-                    end=start + offset + take,
-                    speed=speed,
+            take = remaining if strip == last else min(remaining, length - offset)
+            if take > _DURATION_EPS:
+                segments.append(
+                    Segment(
+                        job=job,
+                        processor=first_processor + strip,
+                        start=start + offset,
+                        end=start + offset + take,
+                        speed=speed,
+                    )
                 )
-            )
-            cursor += take
-            remaining -= take
+                offset += take
+                remaining -= take
+            if strip < last and length - offset <= _DURATION_EPS:
+                strip, offset = strip + 1, 0.0
     segments.sort(key=lambda s: (s.processor, s.start))
     return segments

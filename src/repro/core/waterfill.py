@@ -15,18 +15,22 @@ equivalent to a *single price query*: find the smallest common price
 The load an interval accepts at price ``lambda`` is
 ``z_k(lambda) = max_load_at_speed(s(lambda))`` with
 ``s(lambda) = P'^{-1}(lambda / (delta * w_j))``, a closed-form
-water-level query (see :mod:`repro.chen.interval_power`). The map
-``s -> sum_k z_k(s)`` is piecewise linear, continuous, and non-decreasing,
-so we bracket by doubling, bisect, and finish with Newton steps on the
-piecewise-linear structure — giving machine-precision placements without
-simulating the continuous process.
+water-level query (see :mod:`repro.chen.interval_power`). Each ``z_k`` is
+piecewise linear in ``s`` with at most ``m + 1`` kinks, all known in
+closed form from the interval's top ``m`` loads and suffix sums, so the
+window total ``s -> sum_k z_k(s)`` is a continuous, non-decreasing
+piecewise-linear map with known breakpoints. The clearing speed is found
+exactly: binary-search the sorted breakpoints for the linear piece that
+holds the workload, then interpolate on that piece — one total at the
+price cap plus ``ceil(log2(B+1))`` for ``B`` breakpoints, no iteration
+to a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,11 +39,10 @@ from ..errors import InvalidParameterError
 from ..model.power import PolynomialPower
 from ..types import FloatArray
 
-__all__ = ["WaterfillOutcome", "waterfill_job"]
+__all__ = ["WaterfillOutcome", "waterfill_job", "window_breakpoints"]
 
 #: Relative tolerance on the placed workload.
 _WORK_TOL = 1e-11
-_MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -89,11 +92,11 @@ def waterfill_job(
         The frozen pre-arrival assignment of the job's window: either
         one :class:`SortedLoads` per atomic interval (the historical
         shape, still used by the offline solver), or any object
-        exposing batched ``total_at_speed(s)`` / ``loads_at_speed(s)``
-        queries — in practice a
-        :class:`~repro.perf.kernels.WindowKernel`, which evaluates the
-        whole window per bisection step instead of looping interval by
-        interval. Both shapes produce bit-identical outcomes.
+        exposing window-wide ``total_at_speed(s)`` / ``loads_at_speed(s)``
+        queries plus the ``rows`` and ``m`` that
+        :func:`window_breakpoints` reads — in practice a
+        :class:`~repro.perf.kernels.WindowKernel`. Both shapes produce
+        bit-identical outcomes.
     workload, value:
         The job's ``w_j`` and ``v_j``.
     delta:
@@ -120,6 +123,7 @@ def waterfill_job(
     if hasattr(caches, "total_at_speed"):
         total_at_speed = caches.total_at_speed
         loads_at_speed = caches.loads_at_speed
+        m = caches.m
     else:
 
         def total_at_speed(s: float) -> float:
@@ -130,21 +134,24 @@ def waterfill_job(
                 [c.max_load_at_speed(s) for c in caches], dtype=np.float64
             )
 
+        m = caches[0].m
+
     # Price cap: lambda <= value <=> planned speed <= s_cap. An infinite
     # value (classical must-finish jobs, the offline solver's block
     # steps, or a near-1 exponent mapping a huge value to inf) means no
-    # effective cap: bracket by doubling instead.
+    # effective cap. Then bracket in closed form instead: every interval
+    # absorbs at least ``s*l - suffix[0]``, so at twice the speed where
+    # those lower bounds sum to ``workload`` the window holds it with
+    # room to spare for rounding.
     s_cap = (
         power.derivative_inverse(value / (delta * workload))
         if np.isfinite(value)
         else math.inf
     )
     if not np.isfinite(s_cap):
-        s_cap = max(1.0, workload)
-        for _ in range(200):
-            if total_at_speed(s_cap) >= workload:
-                break
-            s_cap *= 2.0
+        rows = _rows(caches)
+        held = sum(suffix[0] for _, suffix, _ in rows)
+        s_cap = 2.0 * (workload + held) / sum(length for _, _, length in rows)
 
     placed_at_cap = total_at_speed(s_cap)
     if placed_at_cap < workload * (1.0 - _WORK_TOL):
@@ -159,34 +166,23 @@ def waterfill_job(
             planned_work=placed_at_cap,
         )
 
-    # Bracket the clearing speed: total(0) == 0 <= workload <= total(s_cap).
-    lo, hi = 0.0, s_cap
-    # Shrink the bracket by bisection on the monotone piecewise-linear map.
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if total_at_speed(mid) >= workload:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-
-    # Newton polish on the piecewise-linear structure: the local slope is
-    # sum over intervals in the interior regime of (m - d) * l_k, which a
-    # symmetric finite difference recovers exactly within a linear piece.
-    s = hi
-    for _ in range(4):
-        t = total_at_speed(s)
-        gap = workload - t
-        if abs(gap) <= _WORK_TOL * workload:
-            break
-        h = max(1e-9 * max(s, 1.0), 1e-12)
-        slope = (total_at_speed(s + h) - total_at_speed(max(s - h, 0.0))) / (
-            s + h - max(s - h, 0.0)
-        )
-        if slope <= 0.0:
-            break
-        s = min(max(s + gap / slope, lo), s_cap)
+    if placed_at_cap <= workload:
+        s = s_cap
+    else:
+        # Binary-search the breakpoints for the linear piece holding the
+        # workload: total(speeds[lo]) < workload <= total(speeds[hi]).
+        speeds = [0.0, *window_breakpoints(_rows(caches), m, s_cap), s_cap]
+        lo, hi = 0, len(speeds) - 1
+        t_lo, t_hi = 0.0, placed_at_cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            t = total_at_speed(speeds[mid])
+            if t >= workload:
+                hi, t_hi = mid, t
+            else:
+                lo, t_lo = mid, t
+        s_lo, s_hi = speeds[lo], speeds[hi]
+        s = min(s_lo + (workload - t_lo) * (s_hi - s_lo) / (t_hi - t_lo), s_hi)
 
     loads = loads_at_speed(s)
     placed = float(loads.sum())
@@ -196,9 +192,9 @@ def waterfill_job(
             accepted=False, lam=value, speed=s_cap, loads=loads, planned_work=placed
         )
     if abs(placed - workload) > _WORK_TOL * workload:
-        # Final exactness fix: scale within the (tiny) residual. The
-        # relative correction is bounded by the bisection tolerance, so
-        # marginal prices move negligibly.
+        # Final exactness fix: scale within the rounding residual of the
+        # interpolation (or of a cap that clears the workload only up to
+        # the acceptance tolerance), so marginal prices move negligibly.
         loads *= workload / placed
         placed = workload
 
@@ -207,3 +203,55 @@ def waterfill_job(
     return WaterfillOutcome(
         accepted=True, lam=lam, speed=s, loads=loads, planned_work=placed
     )
+
+
+def _rows(caches: "Sequence[SortedLoads] | object") -> list:
+    """``(loads, suffix, length)`` per interval, for either window shape."""
+    if hasattr(caches, "rows"):
+        return caches.rows
+    return [(c.sorted_loads, c.suffix, c.length) for c in caches]
+
+
+def window_breakpoints(
+    rows: "Iterable[tuple[Sequence[float], Sequence[float], float]]",
+    m: int,
+    s_cap: float,
+) -> list[float]:
+    """Sorted speeds in ``(0, s_cap)`` where the window total bends.
+
+    ``rows`` holds one ``(loads, suffix, length)`` triple per interval:
+    the existing loads sorted descending, their suffix sums
+    (``suffix[d] == sum(loads[d:])``) and the interval length. At water
+    level ``T = s * length`` the interval absorbs
+
+        ``z(T) = clamp(max_{d < m} (T*(m - d) - suffix[d]), 0, T)``
+
+    since the line ``T*(m - d) - suffix[d]`` peaks at ``d = #{loads > T}``,
+    the count the closed form uses. Neighbouring lines cross at
+    ``T = loads[d]``; the clamp adds the zero crossing (the smallest line
+    root) and the cap crossing (the smallest root of
+    ``T*(m - d - 1) - suffix[d]``), and ``z`` bends only at those two and
+    at the loads strictly between them. An interval with fewer than
+    ``m`` positive loads (trailing zeros allowed) has a free processor,
+    so ``z = T`` throughout: no breakpoint.
+    """
+    out: list[float] = []
+    for loads, suffix, length in rows:
+        if len(loads) < m or not loads[m - 1] > 0.0:
+            continue
+        zero = suffix[0] / m
+        cap = math.inf
+        for d in range(1, m):
+            level = suffix[d] / (m - d)
+            if level < zero:
+                zero = level
+            level = suffix[d - 1] / (m - d)
+            if level < cap:
+                cap = level
+        inner = (load for load in loads[: m - 1] if zero < load < cap)
+        for level in (zero, cap, *inner):
+            s = level / length
+            if 0.0 < s < s_cap:
+                out.append(s)
+    out.sort()
+    return out

@@ -85,8 +85,11 @@ __all__ = [
 
 #: Bumped whenever the record payload changes shape, so stale cache
 #: entries from an older build miss instead of deserializing wrongly.
-#: (2: added the measured ``wall_time`` field.)
-RECORD_VERSION = 2
+#: Also bumped when results move by design, so a cache never mixes
+#: records from two solvers. (2: added the measured ``wall_time``
+#: field. 3: the exact water-fill replaced the bisection, which moves
+#: PD's floats in the last bits; the payload fields are unchanged.)
+RECORD_VERSION = 3
 
 #: Shard-scheduling strategies. ``rr`` and ``lpt`` are *static* — pure
 #: functions :func:`shard_assignment` computes up front — while

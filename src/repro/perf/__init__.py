@@ -4,7 +4,7 @@
 simulation paths scale without changing a single bit of their output:
 
 * :mod:`repro.perf.kernels` — incremental per-interval load stores
-  (:class:`~repro.perf.kernels.IntervalLoads`) and the batched window
+  (:class:`~repro.perf.kernels.IntervalLoads`) and the window
   evaluator (:class:`~repro.perf.kernels.WindowKernel`) the primal-dual
   water-filling prices jobs against;
 * :mod:`repro.perf.epochs` — arrival-epoch batched execution of the

@@ -1,8 +1,8 @@
-"""Incremental interval-load stores and the batched window kernel.
+"""Incremental interval-load stores and the window kernel.
 
-The primal-dual water-filling step asks one question, thousands of
-times per run: *how much new load can each atomic interval of a job's
-window absorb at a candidate speed?* The closed form
+The primal-dual water-filling step asks one question per arrival: *how
+much new load can each atomic interval of a job's window absorb at a
+candidate speed?* The closed form
 (:func:`repro.chen.interval_power.max_load_at_speed`) needs each
 interval's loads **descending-sorted with suffix sums** — and the
 historical implementation rebuilt that cache from the full ``(n, N)``
@@ -13,20 +13,19 @@ This module maintains the sorted structure *incrementally* across
 arrivals instead:
 
 * :class:`IntervalLoads` keeps one interval's positive loads in
-  descending order inside a preallocated, grown-by-doubling array.
-  Accepting a job is a sorted **insertion** (one C-level ``memmove``);
-  splitting an interval on grid refinement is a **split-copy** (scale
-  by the child fraction — order is preserved, so no re-sort); suffix
-  sums are rebuilt with the exact accumulation order the reference
-  path used, which keeps every query bit-identical.
+  descending order in a Python list. Accepting a job is a sorted
+  **insertion** (one C-level ``memmove``); splitting an interval on
+  grid refinement is a **split-copy** (scale by the child fraction —
+  order is preserved, so no re-sort); suffix sums are rebuilt with the
+  exact accumulation order the reference path used, which keeps every
+  query bit-identical.
 * :class:`WindowKernel` freezes the stores of one job's window and
-  answers ``total_at_speed`` / ``loads_at_speed`` for the bisection.
-  Wide windows are evaluated in one batched numpy call (padded load
-  matrix, vectorized water-level counts, sequential-``cumsum`` total so
-  the sum order matches the reference's left-to-right Python sum);
-  narrow windows — the common case, where numpy dispatch overhead
-  would dominate — use a tight ``bisect``-based scalar loop over the
-  same data. Both paths produce bit-identical floats.
+  answers ``total_at_speed`` / ``loads_at_speed`` with a tight
+  ``bisect``-based scalar loop, and hands the exact water-fill the
+  sorted loads and suffix sums it derives the window's breakpoints
+  from. The exact solve needs only a handful of total evaluations per
+  accepted job, and job windows are narrow (a few intervals), so
+  there is no batched numpy path.
 
 Bit-parity notes (load-bearing, tested in ``tests/test_perf_kernels``):
 
@@ -36,9 +35,8 @@ Bit-parity notes (load-bearing, tested in ``tests/test_perf_kernels``):
 * Scaling a descending array by one positive fraction preserves order
   (monotone rounding), so a split-copy equals re-sorting the scaled
   column.
-* ``numpy.cumsum`` accumulates strictly left to right — unlike
-  ``numpy.sum``'s pairwise reduction — so ``cumsum(z)[-1]`` equals the
-  reference's sequential Python ``sum`` bit for bit.
+* The window total accumulates interval by interval, left to right,
+  exactly as the reference's Python ``sum`` over ``SortedLoads``.
 """
 
 from __future__ import annotations
@@ -51,11 +49,6 @@ from ..errors import InvalidParameterError
 from ..types import FloatArray
 
 __all__ = ["IntervalLoads", "WindowKernel"]
-
-#: Window width at which the batched numpy evaluation beats the scalar
-#: loop (below it, per-call dispatch overhead dominates the ~K floats
-#: of actual work). Both paths are bit-identical; this is pure tuning.
-_VECTOR_MIN_INTERVALS = 32
 
 
 class IntervalLoads:
@@ -184,25 +177,16 @@ class IntervalLoads:
 
 
 class WindowKernel:
-    """Frozen view of one job window for the water-filling bisection.
+    """Frozen view of one job window for the exact water-fill.
 
-    Exposes the two queries :func:`repro.core.waterfill.waterfill_job`
-    hammers on — the window total and the per-interval load vector at a
-    candidate speed — evaluated either by a batched numpy pass (wide
-    windows) or a tight scalar loop (narrow ones), bit-identically.
+    Exposes what :func:`repro.core.waterfill.waterfill_job` reads: the
+    window total and the per-interval load vector at a candidate speed
+    (a tight ``bisect``-based scalar loop over the interval stores), and
+    ``rows`` — each interval's descending loads, suffix sums and length —
+    from which the water-fill derives the window's breakpoints.
     """
 
-    __slots__ = (
-        "m",
-        "lengths",
-        "_neg",
-        "_suffix",
-        "_scalar",
-        "_loads_mat",
-        "_suffix_mat",
-        "_lengths_arr",
-        "_rows",
-    )
+    __slots__ = ("m", "lengths", "_stores", "_scalar")
 
     def __init__(
         self, stores: "list[IntervalLoads]", lengths: "list[float]", m: int
@@ -220,86 +204,50 @@ class WindowKernel:
                 )
         self.m = m
         self.lengths = [float(length) for length in lengths]
-        self._neg = [store.neg for store in stores]
-        self._suffix = [store.suffix for store in stores]
-        # The scalar loop's working set, zipped once: the bisection
-        # calls total_at_speed dozens of times per arrival.
-        self._scalar = list(zip(self._neg, self._suffix, self.lengths))
-        self._loads_mat = None
-        self._suffix_mat = None
-        self._lengths_arr = None
-        self._rows = None
-        if len(stores) >= _VECTOR_MIN_INTERVALS:
-            width = max((len(store) for store in stores), default=0)
-            loads_mat = np.zeros((len(stores), width), dtype=np.float64)
-            suffix_mat = np.zeros((len(stores), width + 1), dtype=np.float64)
-            for i, store in enumerate(stores):
-                p = len(store)
-                loads_mat[i, :p] = store.loads
-                suffix_mat[i, : p + 1] = store.suffix
-            self._loads_mat = loads_mat
-            self._suffix_mat = suffix_mat
-            self._lengths_arr = np.asarray(self.lengths, dtype=np.float64)
-            self._rows = np.arange(len(stores))
+        self._stores = stores
+        # The query loop's working set, zipped once per window.
+        self._scalar = [
+            (store.neg, store.suffix, length)
+            for store, length in zip(stores, self.lengths)
+        ]
 
     def __len__(self) -> int:
         return len(self.lengths)
 
+    @property
+    def rows(self) -> "list[tuple[list[float], list[float], float]]":
+        """Per interval: descending loads, suffix sums, length.
+
+        Built on demand: only accepted jobs need the breakpoints.
+        """
+        return [
+            (store.loads, store.suffix, length)
+            for store, length in zip(self._stores, self.lengths)
+        ]
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _vector_loads(self, speed: float) -> FloatArray:
-        """Per-interval loads via one batched numpy pass (wide windows)."""
-        target = speed * self._lengths_arr
-        d = (self._loads_mat > target[:, None]).sum(axis=1)
-        z = target * (self.m - d) - self._suffix_mat[self._rows, d]
-        z = np.minimum(np.maximum(z, 0.0), target)
-        z[d >= self.m] = 0.0
-        return z
-
     def total_at_speed(self, speed: float) -> float:
         """Sum of ``max_load_at_speed`` over the window's intervals.
 
-        The batched path totals with ``cumsum`` (strictly sequential)
-        rather than ``np.sum`` (pairwise), so the accumulation order —
-        and therefore every bit — matches the reference's left-to-right
-        Python ``sum`` over per-interval queries.
+        The builtin ``sum`` over the same per-interval floats, in the same
+        order, as the reference's :class:`SortedLoads` loop: bit-equal.
         """
-        if speed <= 0.0:
-            return 0.0
-        if self._loads_mat is not None:
-            z = self._vector_loads(speed)
-            return float(z.cumsum()[-1]) if z.size else 0.0
-        total = 0.0
-        m = self.m
-        for neg, suffix, length in self._scalar:
-            target = speed * length
-            d = bisect_left(neg, -target)
-            if d >= m:
-                continue
-            z = target * (m - d) - suffix[d]
-            if z > 0.0:
-                total += z if z <= target else target
-        return total
+        return float(sum(self._loads(speed)))
 
     def loads_at_speed(self, speed: float) -> FloatArray:
         """Per-interval load vector at ``speed`` (the final placement)."""
-        if self._loads_mat is not None:
-            if speed <= 0.0:
-                return np.zeros(len(self.lengths), dtype=np.float64)
-            return np.asarray(self._vector_loads(speed), dtype=np.float64)
-        out = np.zeros(len(self.lengths), dtype=np.float64)
+        return np.array(self._loads(speed), dtype=np.float64)
+
+    def _loads(self, speed: float) -> "list[float]":
         if speed <= 0.0:
-            return out
+            return [0.0] * len(self.lengths)
         m = self.m
-        for i, (neg, suffix, length) in enumerate(
-            zip(self._neg, self._suffix, self.lengths)
-        ):
+        out = []
+        for neg, suffix, length in self._scalar:
             target = speed * length
             d = bisect_left(neg, -target)
-            if d >= m:
-                continue
-            z = target * (m - d) - suffix[d]
-            if z > 0.0:
-                out[i] = z if z <= target else target
+            z = target * (m - d) - suffix[d] if d < m else 0.0
+            out.append(0.0 if z <= 0.0 else z if z <= target else target)
         return out

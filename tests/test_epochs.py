@@ -3,7 +3,7 @@
 ``repro.perf.epochs`` replays the per-arrival PD loop in vectorized
 blocks — and promises the replay is invisible: same decisions, same
 stores, same planned loads, same payload hashes, same cache keys, with
-:data:`repro.engine.runner.RECORD_VERSION` unbumped. Every test here
+:data:`repro.engine.runner.RECORD_VERSION` unchanged. Every test here
 runs the epoch path (:func:`repro.perf.epochs.arrive_epochs` and its
 wrappers) against the per-arrival twin
 (:func:`repro.perf.reference.arrive_epochs_reference` — one scalar
@@ -273,8 +273,10 @@ class TestOAEpochParity:
 class TestEngineCacheIdentity:
     def test_record_version_unbumped(self):
         # Epoch batching changes HOW results are computed, never WHAT —
-        # a version bump here would cold-start every cache for nothing.
-        assert RECORD_VERSION == 2
+        # it leaves the version where the solver put it (3: the exact
+        # water-fill); a bump for batching would cold-start every cache
+        # for nothing.
+        assert RECORD_VERSION == 3
 
     def test_request_key_ignores_batch(self):
         inst = slotted_instance(30, slots=6, m=2, alpha=3.0, seed=1)

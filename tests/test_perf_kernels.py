@@ -1,33 +1,40 @@
 """Bit-parity suite for the incremental kernel layer (``repro.perf``).
 
 The kernels promise that speed is an execution strategy, never a result
-change: the incremental PD scheduler, the batched window evaluator, the
+change: the incremental PD scheduler, the window evaluator, the
 vectorized YDS scan, the inlined energy loop, and the vectorized
 certificate helpers must produce **bitwise identical** outputs to the
 historical implementations — same schedules, same costs, same
 certificates, and therefore same cache keys (the engine's record
 payloads hash identically, so every pre-kernel cache entry stays
 valid). Each test here runs old and new side by side and compares with
-exact equality, never tolerances.
+exact equality, never tolerances — except ``TestExactWaterfill``, which
+holds the exact water-fill to the stated tolerances of its contract
+against the bisection it replaced (docs/architecture.md, "Kernel
+invariants").
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.certificates import dual_certificate
 from repro.chen.interval_power import SortedLoads
 from repro.classical.oa import run_oa
 from repro.classical.yds import yds
 from repro.core.pd import run_pd
-from repro.core.waterfill import waterfill_job
+from repro.core.waterfill import _WORK_TOL, waterfill_job, window_breakpoints
 from repro.engine.runner import RECORD_VERSION, request_key
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.intervals import Grid
 from repro.model.job import Instance
+from repro.model.power import PolynomialPower
 from repro.perf.kernels import IntervalLoads, WindowKernel
-from repro.perf.reference import run_pd_reference
+from repro.perf.reference import run_pd_reference, waterfill_job_reference
 from repro.workloads import (
     heavy_tail_instance,
     poisson_instance,
@@ -94,10 +101,12 @@ class TestPDParity:
 
     def test_sweep_cells_share_cache_identity(self):
         """The engine contract behind 'same cache keys': the record
-        version is unbumped, request keys depend only on inputs, and
+        version is pinned, request keys depend only on inputs, and
         the serialized schedule payload — the record body that gets
         content-hashed — is byte-identical old vs new."""
-        assert RECORD_VERSION == 2  # a bump would cold-start every cache
+        # Kernels never bump it; only a deliberate result change does
+        # (3: the exact water-fill), since a bump cold-starts every cache.
+        assert RECORD_VERSION == 3
         inst = poisson_instance(30, m=2, alpha=3.0, seed=1)
         assert request_key("pd", inst) == request_key("pd", inst)
         new = run_pd(inst)
@@ -140,10 +149,8 @@ class TestKernelPrimitives:
 
     @pytest.mark.parametrize("k", [1, 3, 31, 32, 40])
     def test_window_kernel_matches_python_sum(self, k):
-        """Both kernel paths — the scalar loop (narrow windows) and the
-        batched numpy pass (wide ones, k >= 32) — must equal the
-        reference's left-to-right Python sum over SortedLoads bit for
-        bit."""
+        """Narrow and wide windows alike must equal the reference's
+        left-to-right Python sum over SortedLoads bit for bit."""
         rng = np.random.default_rng(k)
         m = 3
         stores, caches, lengths = [], [], []
@@ -182,8 +189,6 @@ class TestKernelPrimitives:
             stores.append(store)
             caches.append(SortedLoads(loads, m, length))
             lengths.append(length)
-        from repro.model.power import PolynomialPower
-
         power = PolynomialPower(3.0)
         for workload, value in [(0.7, 2.0), (3.0, 0.4), (1.2, np.inf)]:
             via_kernel = waterfill_job(
@@ -209,6 +214,121 @@ class TestKernelPrimitives:
         store = IntervalLoads()
         with pytest.raises(Exception, match="> 0"):
             store.insert(0, 0.0)
+
+
+class _CountingKernel(WindowKernel):
+    """A window kernel that counts ``total_at_speed`` evaluations."""
+
+    __slots__ = ("evals",)
+
+    def __init__(self, stores, lengths, m):
+        super().__init__(stores, lengths, m)
+        self.evals = 0
+
+    def total_at_speed(self, speed):
+        self.evals += 1
+        return super().total_at_speed(speed)
+
+
+#: Loads and lengths keep every clearing speed >= ~0.2, where the
+#: reference bisection's absolute bracket (1e-13) is < 1e-12 relative.
+_LOAD = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 2.5]),  # duplicate loads
+    st.floats(min_value=0.25, max_value=3.0),
+)
+_WINDOW = st.lists(
+    st.tuples(
+        st.lists(_LOAD, max_size=7),  # empty stores and p < m included
+        st.floats(min_value=0.25, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+_POWER = PolynomialPower(3.0)
+
+
+def _build_window(window, m):
+    stores, caches, lengths = [], [], []
+    for loads, length in window:
+        store = IntervalLoads()
+        for job_id, load in enumerate(loads):
+            store.insert(job_id, load)
+        stores.append(store)
+        caches.append(SortedLoads(np.array(loads, dtype=float), m, length))
+        lengths.append(length)
+    return _CountingKernel(stores, lengths, m), caches
+
+
+def _assert_matches_reference(kernel, caches, m, workload, value):
+    """The exact-solve contract against the bisection twin: identical
+    accept/reject, speed within 1e-12 relative, loads summing to the
+    workload, and at most ``ceil(log2(B+1)) + 3`` window evaluations."""
+    kwargs = dict(
+        workload=workload, value=value, delta=_POWER.optimal_delta, power=_POWER
+    )
+    new = waterfill_job(kernel, **kwargs)
+    old = waterfill_job_reference(caches, **kwargs)
+    assert new.accepted == old.accepted
+    if new.accepted:
+        assert new.speed == pytest.approx(old.speed, rel=1e-12, abs=0.0)
+        assert abs(new.loads.sum() - workload) <= _WORK_TOL * workload
+    else:
+        assert new.speed == old.speed
+        assert np.array_equal(new.loads, old.loads)
+    breakpoints = len(window_breakpoints(kernel.rows, m, math.inf))
+    assert kernel.evals <= math.ceil(math.log2(breakpoints + 1)) + 3
+    return new
+
+
+class TestExactWaterfill:
+    @given(
+        window=_WINDOW,
+        m=st.integers(min_value=1, max_value=4),
+        workload=st.floats(min_value=1.0, max_value=5.0),
+        value=st.one_of(
+            st.just(math.inf),  # no price cap: the closed-form bracket
+            st.floats(min_value=0.05, max_value=60.0),
+        ),
+    )
+    @example(window=[([1.0], 0.5), ([], 1.0)], m=4, workload=2.0, value=math.inf)
+    @example(window=[([0.5] * 6, 1.0)], m=2, workload=1.5, value=math.inf)
+    @example(window=[([], 0.25), ([2.5, 2.5], 0.5)], m=1, workload=1.0, value=9.0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection_reference(self, window, m, workload, value):
+        kernel, caches = _build_window(window, m)
+        _assert_matches_reference(kernel, caches, m, workload, value)
+
+    @given(
+        window=_WINDOW,
+        m=st.integers(min_value=1, max_value=4),
+        pick=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_workload_exactly_at_a_breakpoint(self, window, m, pick):
+        kernel, caches = _build_window(window, m)
+        breakpoints = window_breakpoints(kernel.rows, m, math.inf)
+        if not breakpoints:
+            return  # every interval has a free processor: no bends
+        speed = breakpoints[pick % len(breakpoints)]
+        workload = kernel.total_at_speed(speed)
+        if workload < 0.1:
+            return  # the window barely opens there: no meaningful job
+        kernel.evals = 0
+        out = _assert_matches_reference(kernel, caches, m, workload, math.inf)
+        assert out.speed == pytest.approx(speed, rel=1e-12, abs=0.0)
+
+    def test_breakpoints_are_the_bends_of_the_total(self):
+        """Between consecutive breakpoints the window total is linear:
+        its midpoint equals the mean of its ends."""
+        kernel, _ = _build_window(
+            [([2.5, 1.0, 1.0, 0.5, 0.25], 0.5), ([1.0, 0.5], 1.0)], 3
+        )
+        speeds = [0.0, *window_breakpoints(kernel.rows, 3, math.inf), 20.0]
+        assert len(speeds) > 3
+        for a, b in zip(speeds, speeds[1:]):
+            mid = kernel.total_at_speed(0.5 * (a + b))
+            ends = 0.5 * (kernel.total_at_speed(a) + kernel.total_at_speed(b))
+            assert mid == pytest.approx(ends, rel=1e-12, abs=1e-12)
 
 
 class TestGridRefineParity:
