@@ -13,6 +13,14 @@ The cost of Equation (1) — energy plus lost value — and the explicit
 triple. All algorithms in the library (PD, OA, YDS, the offline solvers)
 return their results as a :class:`Schedule`, which makes cross-validation
 and rendering uniform.
+
+Every per-interval quantity (``P_k`` of Equation (6), Chen et al.'s
+realization, the per-processor speeds) depends only on the jobs that
+have work in interval ``k``, and the load matrix is overwhelmingly zero
+(each job works inside its own window only). Those consumers therefore
+read :attr:`Schedule.columns`, a :class:`ColumnLoads` view that holds
+just the nonzero loads grouped by interval, instead of scanning the
+dense ``(n, N)`` matrix column by column.
 """
 
 from __future__ import annotations
@@ -28,11 +36,11 @@ from ..errors import GridMismatchError, InfeasibleScheduleError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chen.scheduler import IntervalSchedule
-from ..types import BoolArray, FloatArray
+from ..types import BoolArray, FloatArray, IntArray
 from .intervals import Grid
 from .job import Instance
 
-__all__ = ["Schedule", "CostBreakdown"]
+__all__ = ["ColumnLoads", "Schedule", "CostBreakdown"]
 
 #: Work-accounting slack: a job counts as finished when it gets at least
 #: ``(1 - _REL_TOL)`` of its workload.
@@ -56,6 +64,41 @@ class CostBreakdown:
             f"cost {self.total:.6g} = energy {self.energy:.6g} "
             f"+ lost value {self.lost_value:.6g}"
         )
+
+
+@dataclass(frozen=True)
+class ColumnLoads:
+    """Column-sparse view of an ``(n, N)`` load matrix.
+
+    Interval ``k``'s nonzero loads are ``vals[indptr[k]:indptr[k + 1]]``,
+    owned by the jobs ``rows[indptr[k]:indptr[k + 1]]`` in ascending
+    order — the input order a per-column ``np.nonzero`` scan yields, so
+    the stable descending sorts downstream break ties exactly as they
+    do on the dense column. Exact zeros (``0.0`` and ``-0.0``) are
+    dropped; every other value, including negative dust, is kept.
+    Dropping zeros changes no bit of any per-interval quantity (kernel
+    invariant 1 in ``docs/architecture.md``).
+    """
+
+    indptr: IntArray
+    rows: IntArray
+    vals: FloatArray
+
+    @classmethod
+    def from_dense(cls, loads: FloatArray) -> "ColumnLoads":
+        """One nonzero pass over a C-contiguous ``(n, N)`` matrix.
+
+        ``flatnonzero`` visits cells row-major (job, then interval); a
+        stable sort by interval then groups the cells by column with the
+        jobs still ascending. No transposed copy is made.
+        """
+        big_n = loads.shape[1]
+        flat = np.flatnonzero(loads != 0.0).astype(np.int64, copy=False)
+        cols = flat % big_n
+        flat = flat[np.argsort(cols, kind="stable")]
+        indptr = np.zeros(big_n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=big_n), out=indptr[1:])
+        return cls(indptr=indptr, rows=flat // big_n, vals=loads.ravel()[flat])
 
 
 @dataclass(frozen=True)
@@ -121,17 +164,25 @@ class Schedule:
         )
 
     # ------------------------------------------------------------------
+    # Column-sparse view
+    # ------------------------------------------------------------------
+    @cached_property
+    def columns(self) -> ColumnLoads:
+        """The nonzero loads grouped by interval (built once, O(n·N))."""
+        return ColumnLoads.from_dense(self.loads)
+
+    # ------------------------------------------------------------------
     # Cost (Equation (1))
     # ------------------------------------------------------------------
     @cached_property
     def energy(self) -> float:
         """Total energy: sum of per-interval ``P_k`` values.
 
-        Evaluated by the batched all-columns kernel
-        (:func:`repro.perf.energy.schedule_energy`), bit-identical to
-        the historical per-column loop — which is retained as
-        :func:`repro.perf.reference.schedule_energy_reference` and
-        differentially tested against this path.
+        Evaluated by the batched kernel
+        (:func:`repro.perf.energy.schedule_energy`) over :attr:`columns`,
+        bit-identical to the historical per-column loop — which is
+        retained as :func:`repro.perf.reference.schedule_energy_reference`
+        and differentially tested against this path.
         """
         from ..perf.energy import schedule_energy  # lazy: layering
 
@@ -140,6 +191,7 @@ class Schedule:
             self.grid.lengths,
             self.instance.m,
             self.instance.power,
+            columns=self.columns,
         )
 
     @cached_property
@@ -213,41 +265,53 @@ class Schedule:
     # Realization
     # ------------------------------------------------------------------
     def realize(self) -> "list[IntervalSchedule]":
-        """Explicit per-interval schedules (Chen et al. + McNaughton)."""
+        """Explicit per-interval schedules (Chen et al. + McNaughton).
+
+        Each interval realizes its loads above ``_LOAD_EPS``, in
+        ascending job order, read off :attr:`columns`; bit-identical to
+        the per-column scan kept as
+        :func:`repro.perf.reference.realize_reference`.
+        """
         from ..chen.scheduler import schedule_interval  # lazy: layering
 
-        out: list[IntervalSchedule] = []
-        for k in range(self.grid.size):
-            a, b = self.grid.interval(k)
-            col = self.loads[:, k]
-            active = np.nonzero(col > _LOAD_EPS)[0]
-            out.append(
-                schedule_interval(
-                    col[active],
-                    job_ids=[int(j) for j in active],
-                    m=self.instance.m,
-                    start=a,
-                    end=b,
-                    power=self.instance.power,
-                )
+        cols = self.columns
+        keep = cols.vals > _LOAD_EPS
+        vals = cols.vals[keep]
+        ids = cols.rows[keep].tolist()
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        offsets = kept[cols.indptr].tolist()
+        edges = self.grid.boundaries.tolist()
+        m, power = self.instance.m, self.instance.power
+        return [
+            schedule_interval(
+                vals[lo:hi],
+                job_ids=ids[lo:hi],
+                m=m,
+                start=edges[k],
+                end=edges[k + 1],
+                power=power,
             )
-        return out
+            for k, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+        ]
 
     def processor_speed_matrix(self) -> FloatArray:
         """``(m, N)`` speeds of the i-th *fastest* processor per interval.
 
         Row ``i`` is the speed of the (i+1)-th fastest processor — the
         quantity ``s(i, k)`` in Proposition 7 of the paper. Computed from
-        the dedicated/pool structure without materializing segments.
+        the dedicated/pool structure of each interval's nonzero loads
+        (dropping zeros changes no bit of it) without materializing
+        segments.
         """
         from ..chen.partition import partition_loads  # local: avoid cycle
 
         m = self.instance.m
         out = np.zeros((m, self.grid.size), dtype=np.float64)
         lengths = self.grid.lengths
+        cols = self.columns
+        indptr = cols.indptr.tolist()
         for k in range(self.grid.size):
-            col = self.loads[:, k]
-            part = partition_loads(col, m)
+            part = partition_loads(cols.vals[indptr[k] : indptr[k + 1]], m)
             out[:, k] = part.processor_loads() / float(lengths[k])
         return out
 

@@ -13,12 +13,15 @@ simulation paths scale without changing a single bit of their output:
   consecutive arrivals consumed off the columnar job storage with
   vectorized order/window/screen passes, bit-identical decisions;
 * :mod:`repro.perf.energy` — batched multi-interval energy evaluation
-  (:func:`~repro.perf.energy.schedule_energy` over dense load matrices,
-  :func:`~repro.perf.energy.stores_energy` over streaming
-  ``IntervalLoads``), one vectorized pass instead of a per-column loop;
+  over a column-sparse view of the loads, O(nnz + N):
+  :func:`~repro.perf.energy.schedule_energy` reads a schedule's
+  :class:`~repro.model.schedule.ColumnLoads`,
+  :func:`~repro.perf.energy.stores_energy` lays streaming
+  ``IntervalLoads`` out the same way, and one kernel prices both;
 * :mod:`repro.perf.reference` — the historical straight-line
-  implementations (dense-matrix PD, per-column energy), kept verbatim
-  for differential ("bit parity") testing against the kernels;
+  implementations (dense-matrix PD, per-column energy and realization),
+  kept verbatim for differential ("bit parity") testing against the
+  kernels;
 * :mod:`repro.perf.bench` — named perf scenarios, the machine-readable
   ``BENCH_<scenario>.json`` emitter, and the baseline-comparison gate
   behind ``python -m repro bench``.

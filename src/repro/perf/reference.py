@@ -20,19 +20,21 @@ from typing import Sequence
 import numpy as np
 
 from ..chen.interval_power import SortedLoads
+from ..chen.scheduler import IntervalSchedule, schedule_interval
 from ..core.pd import JobDecision, PDResult
 from ..core.waterfill import _WORK_TOL, WaterfillOutcome, waterfill_job
 from ..errors import InvalidParameterError
 from ..model.intervals import Grid, Refinement
 from ..model.job import Instance, Job
 from ..model.power import PolynomialPower, PowerFunction
-from ..model.schedule import Schedule
+from ..model.schedule import _LOAD_EPS, Schedule
 from ..types import FloatArray
 
 __all__ = [
     "PARITY_PAIRS",
     "PDSchedulerReference",
     "arrive_epochs_reference",
+    "realize_reference",
     "run_pd_reference",
     "schedule_energy_reference",
     "waterfill_job_reference",
@@ -91,6 +93,31 @@ def schedule_energy_reference(schedule: Schedule) -> float:
             continue
         total += interval_energy(active, m, length, power)
     return total
+
+
+def realize_reference(schedule: Schedule) -> list[IntervalSchedule]:
+    """The historical per-column ``Schedule.realize`` loop, verbatim.
+
+    Replaced by the walk over the schedule's column-sparse view
+    (:attr:`repro.model.schedule.Schedule.columns`); kept for
+    differential testing of that path.
+    """
+    out: list[IntervalSchedule] = []
+    for k in range(schedule.grid.size):
+        a, b = schedule.grid.interval(k)
+        col = schedule.loads[:, k]
+        active = np.nonzero(col > _LOAD_EPS)[0]
+        out.append(
+            schedule_interval(
+                col[active],
+                job_ids=[int(j) for j in active],
+                m=schedule.instance.m,
+                start=a,
+                end=b,
+                power=schedule.instance.power,
+            )
+        )
+    return out
 
 
 class PDSchedulerReference:
