@@ -6,27 +6,23 @@ performance model come into play:
 * the instance is generated straight into a columnar
   :class:`~repro.model.job_arrays.JobArrays` block (the ``slotted``
   workload family) — no per-job ``Job`` objects are built up front;
-* the main loop runs in **arrival epochs**
-  (:mod:`repro.perf.epochs`): blocks of consecutive arrivals are
-  consumed straight off the columns, with the release-order check,
-  window lookups, and a cheap-reject pre-screen hoisted into batched
-  numpy passes. The decisions are bit-identical to the per-arrival
-  loop — the differential suite (``tests/test_epochs.py``) asserts it —
-  batching only removes interpreter overhead;
+* :meth:`PDScheduler.arrive_many` consumes the columns in **arrival
+  epochs** (:mod:`repro.perf.epochs`): while arrivals still refine the
+  grid they run one by one through the scalar path, and once the grid
+  has settled on the slot boundaries whole blocks get the release-order
+  check, window lookups and a cheap-reject pre-screen as batched numpy
+  passes. The decisions are bit-identical to feeding the jobs one at a
+  time — the differential suite (``tests/test_epochs.py``) asserts it
+  against the dense per-arrival twin;
 * cost is read off the scheduler's live per-interval stores with
   :meth:`PDScheduler.streaming_energy` / ``streaming_lost_value``
   instead of assembling the full ``(n, N)`` schedule matrix.
-
-The example runs *both* modes and prints their wall times side by side
-(and checks the costs match to the bit), so you can see what the epoch
-layer buys on your machine.
 
 Run it:
 
     PYTHONPATH=src python examples/pd_100k_jobs.py
 
-Expected: both runs complete in seconds, the epoch pass noticeably
-faster, with byte-identical cost breakdowns.
+Expected: the pass completes in seconds and prints its cost breakdown.
 """
 
 from __future__ import annotations
@@ -35,21 +31,6 @@ import time
 
 from repro.core.pd import PDScheduler
 from repro.workloads import slotted_instance
-
-
-def run_mode(arrays, m: int, alpha: float, batch: str) -> tuple[float, float, float]:
-    """One full pass in the given batch mode: (wall, energy, lost_value).
-
-    Streaming accessors only — ``finish()`` would assemble the dense
-    ``(n, N)`` matrix this example exists to avoid.
-    """
-    sched = PDScheduler(m=m, alpha=alpha, batch=batch)
-    t0 = time.perf_counter()
-    sched.arrive_many(arrays)
-    energy = sched.streaming_energy()
-    lost = sched.streaming_lost_value()
-    wall = time.perf_counter() - t0
-    return wall, energy, lost
 
 
 def main() -> None:
@@ -63,26 +44,18 @@ def main() -> None:
         f"alpha={ordered.alpha} (built columnar in {t_gen:.2f} s)"
     )
 
-    t_arr, energy_arr, lost_arr = run_mode(
-        arrays, ordered.m, ordered.alpha, "arrival"
-    )
+    # Streaming accessors only — finish() would assemble the dense
+    # (n, N) matrix this example exists to avoid.
+    sched = PDScheduler(m=ordered.m, alpha=ordered.alpha)
+    t0 = time.perf_counter()
+    sched.arrive_many(arrays)
+    energy = sched.streaming_energy()
+    lost = sched.streaming_lost_value()
+    wall = time.perf_counter() - t0
+    print(f"arrive_many: {wall:6.2f} s ({1e6 * wall / arrays.n:.0f} us/job)")
     print(
-        f"arrival mode: {t_arr:6.2f} s ({1e6 * t_arr / arrays.n:.0f} us/job)"
-    )
-    t_epo, energy_epo, lost_epo = run_mode(
-        arrays, ordered.m, ordered.alpha, "epoch"
-    )
-    print(
-        f"epoch mode  : {t_epo:6.2f} s "
-        f"({1e6 * t_epo / arrays.n:.0f} us/job, {t_arr / t_epo:.1f}x faster)"
-    )
-
-    assert (energy_epo, lost_epo) == (energy_arr, lost_arr), (
-        "epoch batching must not change a bit"
-    )
-    print(
-        f"cost {energy_arr + lost_arr:.1f} = energy {energy_arr:.1f} "
-        f"+ lost value {lost_arr:.1f} — byte-identical across both modes"
+        f"cost {energy + lost:.1f} = energy {energy:.1f} "
+        f"+ lost value {lost:.1f}"
     )
     print("100k-job streaming pipeline: done")
 

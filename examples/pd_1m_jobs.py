@@ -1,27 +1,22 @@
-"""PD at 1,000,000 jobs: the arrival-epoch batched main loop at full tier.
+"""PD at 1,000,000 jobs: the arrival-epoch block loop at full tier.
 
 The million-job point of the ``pd-1m`` bench scenario, as a runnable
-walkthrough. The per-arrival loop prices one job per Python
-``arrive()`` call; at this tier the interpreter choreography around
-each call (window lookup, kernel build, decision object) costs more
-than the water-filling arithmetic itself. The arrival-epoch layer
-(:mod:`repro.perf.epochs`) consumes the columnar job stream in blocks:
-one vectorized release-order check, one batched window lookup, and a
-cheap-reject pre-screen per block, with only the jobs that actually
-move water falling through to the scalar kernel. Decisions are
-bit-identical — batching changes how, never what.
-
-The script first races both modes on a 100k-job prefix of the same
-stream (cheap enough to run twice) and checks the costs match to the
-bit, then runs the full million jobs through the epoch path.
+walkthrough. Pricing one job per Python ``arrive()`` call would cost
+more in interpreter choreography around each call (window lookup,
+kernel build, decision object) than in the water-filling arithmetic
+itself. :meth:`PDScheduler.arrive_many` consumes the columnar job
+stream in blocks (:mod:`repro.perf.epochs`): arrivals that still refine
+the grid run one by one through the scalar path, and once the grid has
+settled each block gets one vectorized release-order check, one batched
+window lookup and a cheap-reject pre-screen, with only the jobs that
+actually move water falling through to the scalar kernel. Decisions are
+bit-identical to the per-arrival loop.
 
 Run it:
 
     PYTHONPATH=src python examples/pd_1m_jobs.py
 
-Expected: the 100k calibration shows the epoch speedup with identical
-costs, and the full 1M-job epoch run finishes in tens of seconds where
-the per-arrival loop would take minutes.
+Expected: the million jobs finish in tens of seconds.
 """
 
 from __future__ import annotations
@@ -32,42 +27,25 @@ from repro.core.pd import PDScheduler
 from repro.workloads import slotted_instance
 
 
-def timed_run(arrays, m: int, alpha: float, batch: str) -> tuple[float, float]:
-    """(wall seconds, streaming cost) of one full pass in ``batch`` mode."""
-    sched = PDScheduler(m=m, alpha=alpha, batch=batch)
-    t0 = time.perf_counter()
-    sched.arrive_many(arrays)
-    cost = sched.streaming_cost()
-    return time.perf_counter() - t0, cost
-
-
 def main() -> None:
     m, alpha = 4, 3.0
 
-    # --- calibration: both modes on a 100k prefix, bit-compared -------
-    small = slotted_instance(100_000, slots=1000, m=m, alpha=alpha, seed=0)
-    arrays = small.sorted_by_release().arrays
-    t_arr, cost_arr = timed_run(arrays, m, alpha, "arrival")
-    t_epo, cost_epo = timed_run(arrays, m, alpha, "epoch")
-    assert cost_epo == cost_arr, "epoch batching must not change a bit"
-    print(
-        f"100k calibration: arrival {t_arr:.2f} s, epoch {t_epo:.2f} s "
-        f"({t_arr / t_epo:.1f}x), costs byte-identical"
-    )
-
-    # --- the full tier: 1M jobs through the epoch path ----------------
     t0 = time.perf_counter()
     big = slotted_instance(1_000_000, slots=1000, m=m, alpha=alpha, seed=0)
-    big_arrays = big.sorted_by_release().arrays
+    arrays = big.sorted_by_release().arrays
     t_gen = time.perf_counter() - t0
     print(f"1M-job instance built columnar in {t_gen:.2f} s")
 
-    wall, cost = timed_run(big_arrays, m, alpha, "epoch")
+    sched = PDScheduler(m=m, alpha=alpha)
+    t0 = time.perf_counter()
+    sched.arrive_many(arrays)
+    cost = sched.streaming_cost()
+    wall = time.perf_counter() - t0
     print(
-        f"epoch mode, 1M jobs: {wall:6.2f} s "
-        f"({1e6 * wall / big_arrays.n:.1f} us/job), cost {cost:.1f}"
+        f"arrive_many, 1M jobs: {wall:6.2f} s "
+        f"({1e6 * wall / arrays.n:.1f} us/job), cost {cost:.1f}"
     )
-    print("million-job epoch pipeline: done")
+    print("million-job pipeline: done")
 
 
 if __name__ == "__main__":

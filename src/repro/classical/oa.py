@@ -139,8 +139,8 @@ def _execute_plan_prefix(
     remaining: dict[int, float],
     deadlines: dict[int, float],
     executed: list[tuple[int, float, float, float]],
-    unfinished,  # anything with .discard(job): a set or an epoch proxy
-    alive_pool,
+    unfinished: set[int],
+    alive_pool: set[int],
 ) -> None:
     """Lazily plan-and-execute one OA epoch: only the prefix before ``t_next``.
 
@@ -208,130 +208,8 @@ def _execute_plan_prefix(
             return
 
 
-class _CountingDiscard:
-    """``unfinished``-set stand-in for the epoch loop: a guarded counter.
-
-    ``_execute_plan_prefix`` only ever calls ``discard`` — the epoch
-    loop replaces the set with a per-job flag plus a live count, so the
-    "any work left" test is one integer read. The flag guards against
-    the double-discard a multi-segment finish can produce.
-    """
-
-    __slots__ = ("flags", "holder")
-
-    def __init__(self, flags: bytearray, holder: list[int]) -> None:
-        self.flags = flags
-        self.holder = holder
-
-    def discard(self, j: int) -> None:
-        if not self.flags[j]:
-            self.flags[j] = 1
-            self.holder[0] -= 1
-
-
-class _LazyDiscard:
-    """``alive_pool`` stand-in: deletions buffered into a tombstone set."""
-
-    __slots__ = ("dead",)
-
-    def __init__(self, dead: set) -> None:
-        self.dead = dead
-
-    def discard(self, j: int) -> None:
-        self.dead.add(j)
-
-
-def _oa_segments_epoch(
-    ordered: Instance,
-) -> tuple[Instance, list[tuple[int, float, float, float]]]:
-    """Epoch-batched bookkeeping around the lazy-prefix OA planner.
-
-    The same treatment the PD main loop gets in ``repro.perf.epochs``,
-    applied to OA's replanning loop: the per-epoch Python bookkeeping is
-    precomputed in batched numpy passes, while every plan round still
-    runs through the untouched :func:`_execute_plan_prefix` on identical
-    ``alive`` lists — so the executed segments are bitwise the
-    per-arrival path's.
-
-    * the epoch list comes from one ``np.unique`` (the same floats as
-      ``sorted(set(...))`` over the release column);
-    * the known-prefix advance — a per-epoch ``while`` in the arrival
-      path — collapses to one vectorized ``searchsorted`` of every
-      ``t + _EPS`` against the release column;
-    * the per-epoch ``sorted(alive_pool)`` rebuild is replaced by an
-      append-only ascending id list with tombstone deletions (ids enter
-      in release order, so the list never needs sorting), compacted when
-      more than half its entries are dead;
-    * the ``unfinished`` set becomes a flag-guarded counter, making the
-      "any work left" test O(1) without set churn.
-    """
-    n = ordered.n
-    releases = ordered.releases
-    deadlines_arr = ordered.deadlines
-    workloads = ordered.workloads
-    epochs_arr = np.unique(releases)
-    horizon_end = float(deadlines_arr.max()) if n else 0.0
-    # Batched known-prefix counts: the arrival loop advances through
-    # `releases[known] <= t + _EPS`; side="right" at t + _EPS is that
-    # exact boundary, for every epoch in one pass.
-    counts = np.searchsorted(releases, epochs_arr + _EPS, side="right").tolist()
-    epochs = epochs_arr.tolist()
-
-    remaining = dict(enumerate(workloads.tolist()))
-    deadlines = dict(enumerate(deadlines_arr.tolist()))
-    addable = (workloads > _WORK_TOL).tolist()
-    executed: list[tuple[int, float, float, float]] = []
-
-    alive_list: list[int] = []
-    dead: set[int] = set()
-    finished_flag = bytearray(n)
-    unfinished_count = [0]
-    unfinished_proxy = _CountingDiscard(finished_flag, unfinished_count)
-    pool_proxy = _LazyDiscard(dead)
-    known = 0
-
-    for idx, t in enumerate(epochs):
-        t_next = epochs[idx + 1] if idx + 1 < len(epochs) else horizon_end
-        kc = counts[idx]
-        while known < kc:
-            if addable[known]:
-                alive_list.append(known)
-                unfinished_count[0] += 1
-            known += 1
-        if not unfinished_count[0]:
-            continue
-        if len(dead) > len(alive_list) // 2:
-            alive_list = [j for j in alive_list if j not in dead]
-            dead.clear()
-        alive = []
-        for j in alive_list:
-            if j in dead:
-                continue
-            if deadlines[j] > t + _EPS:
-                alive.append(j)
-            else:
-                # A passed deadline never un-passes: tombstone for good.
-                dead.add(j)
-        if not alive:
-            # Work remains but nothing is plannable — the exact state in
-            # which the reference path's oa_plan raises.
-            raise InvalidParameterError("oa_plan called with no remaining work")
-        _execute_plan_prefix(
-            now=t,
-            t_next=t_next,
-            alive=alive,
-            remaining=remaining,
-            deadlines=deadlines,
-            executed=executed,
-            unfinished=unfinished_proxy,
-            alive_pool=pool_proxy,
-        )
-
-    return ordered, executed
-
-
 def oa_segments(
-    instance: Instance, *, replan: str = "incremental", batch: str | None = None
+    instance: Instance, *, replan: str = "incremental"
 ) -> tuple[Instance, list[tuple[int, float, float, float]]]:
     """Simulate OA and return ``(ordered_instance, executed_segments)``.
 
@@ -343,10 +221,7 @@ def oa_segments(
     lazily and stops at the first critical interval past the next
     arrival; ``replan="reference"`` is the historical from-scratch
     replan (full YDS plan per epoch, via :func:`oa_plan`), retained for
-    differential testing. ``batch="epoch"`` additionally batches the
-    per-epoch bookkeeping (see :func:`_oa_segments_epoch`); ``None``
-    defers to the ambient :func:`repro.perf.epochs.batch_mode`.
-    Identical output — bit for bit — across every combination.
+    differential testing. Identical output — bit for bit — either way.
     """
     if instance.m != 1:
         raise InvalidParameterError(
@@ -357,22 +232,6 @@ def oa_segments(
         raise InvalidParameterError(
             f"replan must be 'incremental' or 'reference', got {replan!r}"
         )
-    if batch is None:
-        from ..perf.epochs import current_batch_mode  # lazy: higher layer
-
-        batch = current_batch_mode()
-    if batch not in ("arrival", "epoch"):
-        raise InvalidParameterError(
-            f"batch must be 'arrival' or 'epoch', got {batch!r}"
-        )
-    if batch == "epoch":
-        if replan == "reference":
-            raise InvalidParameterError(
-                "batch='epoch' applies to the incremental replanner; the "
-                "reference replan is its per-arrival parity twin "
-                "(use batch='arrival')"
-            )
-        return _oa_segments_epoch(instance.sorted_by_release())
     ordered = instance.sorted_by_release()
     n = ordered.n
     releases = ordered.releases
@@ -449,24 +308,17 @@ def oa_segments(
     return ordered, executed
 
 
-def run_oa(
-    instance: Instance,
-    *,
-    replan: str = "incremental",
-    batch: str | None = None,
-) -> OAResult:
+def run_oa(instance: Instance, *, replan: str = "incremental") -> OAResult:
     """Simulate OA on a single-processor instance (all jobs are finished).
 
     Job values are ignored — OA predates the profitable model. The
     simulation advances from arrival epoch to arrival epoch, executing the
     current plan's EDF segments in between. ``replan`` selects between
     the incremental lazy-prefix planner (default) and the retained
-    historical from-scratch replan (``"reference"``); ``batch`` selects
-    the epoch-batched bookkeeping loop (``None`` defers to the ambient
-    :func:`repro.perf.epochs.batch_mode`); see :func:`oa_segments`. The
-    results are bit-identical across every combination.
+    historical from-scratch replan (``"reference"``); see
+    :func:`oa_segments`. The results are bit-identical either way.
     """
-    ordered, executed = oa_segments(instance, replan=replan, batch=batch)
+    ordered, executed = oa_segments(instance, replan=replan)
     schedule = schedule_from_segments(
         ordered, executed, np.ones(ordered.n, dtype=bool)
     )

@@ -18,14 +18,18 @@ and every run carries a machine-checkable certificate: the dual value
 ``g(lambda~)`` computed by :mod:`repro.analysis.certificates` satisfies
 ``cost(PD) <= alpha**alpha * g(lambda~) <= alpha**alpha * cost(OPT)``.
 
-Implementation note (PR 5): the scheduler runs on the incremental
-kernels of :mod:`repro.perf.kernels`. Each atomic interval owns a live
+Implementation note: the scheduler runs on the incremental kernels of
+:mod:`repro.perf.kernels`. Each atomic interval owns a live
 :class:`~repro.perf.kernels.IntervalLoads` store (descending-sorted
 loads + suffix sums, maintained by sorted insertion on accept and
 split-copy on refinement) instead of columns of a dense ``(n, N)``
 matrix rebuilt per arrival; the dense matrices are materialized once,
-in :meth:`PDScheduler.finish`. The outputs are bit-identical to the
-historical implementation (kept as
+in :meth:`PDScheduler.finish`. There is one driver,
+:meth:`PDScheduler.arrive_many` (:meth:`PDScheduler.arrive` is a
+one-row run of the same scalar routine): arrivals that refine the grid
+run one by one through the scalar path, and once the grid has settled
+:mod:`repro.perf.epochs` decides whole blocks with batched passes. The
+outputs are bit-identical to the historical implementation (kept as
 :class:`repro.perf.reference.PDSchedulerReference` and differentially
 tested), while the per-arrival cost drops from O(n·N) to
 O(window + split intervals).
@@ -115,11 +119,12 @@ class PDResult:
 class PDScheduler:
     """Stateful online scheduler implementing Listing 1.
 
-    Feed jobs in non-decreasing release order via :meth:`arrive`; read the
-    result off :meth:`finish`. The scheduler maintains the grid of atomic
-    intervals induced by the jobs seen so far and refines it on each
-    arrival, splitting frozen loads proportionally (the paper's
-    load-preserving refinement, Section 3).
+    Feed jobs in non-decreasing release order — one at a time via
+    :meth:`arrive`, or a columnar block via :meth:`arrive_many` (the two
+    mix freely) — and read the result off :meth:`finish`. The scheduler
+    maintains the grid of atomic intervals induced by the jobs seen so
+    far and refines it on each arrival, splitting frozen loads
+    proportionally (the paper's load-preserving refinement, Section 3).
 
     Parameters
     ----------
@@ -136,6 +141,11 @@ class PDScheduler:
         primal-dual machinery in the generalized setting of
         :mod:`repro.general` (Gupta–Krishnaswamy–Pruhs framework). The
         ``alpha`` argument is then only used for result bookkeeping.
+    batch:
+        Inert. The scheduler picks per-arrival or batched processing
+        itself (see :meth:`arrive_many`); the keyword is still accepted,
+        and validated (``"arrival"`` or ``"epoch"``), so that callers
+        written against the old execution switch keep working.
     """
 
     def __init__(
@@ -173,29 +183,24 @@ class PDScheduler:
         if self.delta <= 0.0:
             raise InvalidParameterError(f"delta must be > 0, got {self.delta}")
 
-        self.batch = batch
-        self._jobs: list[Job] = []
         self._grid: Grid | None = None
         #: One live sorted-load store per atomic interval (accepted work).
         self._states: list[IntervalLoads] = []
         #: Per interval, the planned ``(job_id, load)`` entries — final
         #: loads for accepted jobs, the pre-rejection ``x̌`` otherwise.
         self._planned: list[list[tuple[int, float]]] = []
-        self._decisions: list[JobDecision] = []
         self._last_release = -np.inf
-        #: Total arrivals so far (== len(self._jobs) on the per-arrival
-        #: path; the epoch path stores columns instead of Job objects).
+        #: Total arrivals so far.
         self._count = 0
-        #: Epoch-mode storage: per-block chunks of job columns
+        #: Jobs and decisions, one chunk per run of arrivals: job columns
         #: (release, deadline, workload, value arrays) and decision
-        #: columns (accepted, lam, speed, planned_work lists), appended
-        #: by :func:`repro.perf.epochs.arrive_epochs`. Materialized into
-        #: the historical Job/JobDecision shapes in :meth:`finish`.
+        #: columns (accepted, lam, speed, planned_work lists).
+        #: Materialized into Job/JobDecision objects in :meth:`finish`.
         self._chunks: list[tuple] = []
-        #: Optional pre-materialized job tuple for :meth:`finish` (set
-        #: by ``run_pd(batch="epoch")`` when the instance already holds
-        #: Job objects, preserving optional names bit for bit).
-        self._finish_jobs: tuple[Job, ...] | None = None
+        #: Job objects the caller handed in, by job id; :meth:`finish`
+        #: reuses them (names included) instead of rebuilding from the
+        #: columns.
+        self._given: dict[int, Job] = {}
         #: Intervals whose store has deferred (unflushed) suffix sums.
         self._dirty_suffix: set[int] = set()
         #: Intervals whose cached opening level is stale.
@@ -211,95 +216,137 @@ class PDScheduler:
     # ------------------------------------------------------------------
     def arrive(self, job: Job) -> JobDecision:
         """Process the arrival of ``job`` and commit PD's decision."""
-        if self._chunks:
-            raise InvalidParameterError(
-                "cannot mix arrive() with epoch-batched arrivals; feed "
-                "this scheduler exclusively via arrive_many()"
-            )
         if job.release < self._last_release - 1e-12:
             raise InvalidParameterError(
                 f"jobs must arrive in release order: got release {job.release} "
                 f"after {self._last_release}"
             )
-        self._last_release = max(self._last_release, job.release)
-        job_id = len(self._jobs)
-        self._jobs.append(job)
-        self._count = job_id + 1
-
-        self._refine_grid(job.release, job.deadline)
-        assert self._grid is not None
-        ks = self._grid.covering(job.release, job.deadline)
-        lengths = self._grid.lengths
-
-        kernel = WindowKernel(
-            [self._states[k] for k in ks],
-            [float(lengths[k]) for k in ks],
-            self.m,
+        job_id = self._count
+        self._arrive_run(
+            *np.array(
+                [[job.release], [job.deadline], [job.workload], [job.value]],
+                dtype=np.float64,
+            )
         )
-        outcome = waterfill_job(
-            kernel,
-            workload=job.workload,
-            value=job.value,
-            delta=self.delta,
-            power=self.power,
-        )
-
-        # Commit: sorted insertion into each interval's live store for an
-        # accept; either way the planned loads (``x̌``) are recorded.
-        # Exact zeros carry no information (the dense materialization is
-        # zero-initialized) and are skipped.
-        for offset, k in enumerate(ks):
-            z = float(outcome.loads[offset])
-            if z == 0.0:
-                continue
-            if outcome.accepted:
-                self._states[k].insert(job_id, z)
-            self._planned[k].append((job_id, z))
-
-        decision = JobDecision(
+        self._given[job_id] = job
+        _, _, _, _, acc, lam, spd, pw = self._chunks[-1]
+        return JobDecision(
             job_id=job_id,
-            accepted=outcome.accepted,
-            lam=outcome.lam,
-            planned_speed=outcome.speed,
-            planned_work=outcome.planned_work,
+            accepted=acc[0],
+            lam=lam[0],
+            planned_speed=spd[0],
+            planned_work=pw[0],
         )
-        self._decisions.append(decision)
-        return decision
 
-    def arrive_many(self, arrays, *, epoch_size: int | None = None) -> None:
+    def arrive_many(self, arrays) -> None:
         """Process a columnar block of arrivals (release-ordered).
 
-        On the per-arrival path this is sugar for feeding
-        ``arrays.job(i)`` one at a time. With ``batch="epoch"`` the block
-        is consumed by :func:`repro.perf.epochs.arrive_epochs` — batched
-        numpy passes over the columns, bit-identical decisions.
+        Consumed by :func:`repro.perf.epochs.arrive_epochs` in blocks:
+        while arrivals keep refining the grid they run one by one through
+        the scalar path, and once the grid has settled whole blocks are
+        screened and decided with batched numpy passes. Decisions are
+        bit-identical to feeding ``arrays.job(i)`` to :meth:`arrive`.
         """
-        if self.batch == "epoch":
-            from ..perf.epochs import DEFAULT_EPOCH_SIZE, arrive_epochs
+        from ..perf.epochs import arrive_epochs
 
-            arrive_epochs(
-                self,
-                arrays,
-                epoch_size=(
-                    DEFAULT_EPOCH_SIZE if epoch_size is None else epoch_size
-                ),
-            )
-            return
-        for i in range(arrays.n):
-            self.arrive(arrays.job(i))
+        arrive_epochs(self, arrays)
+
+    def _arrive_run(self, releases, deadlines, workloads, values, near=None) -> int:
+        """Run arrivals through the scalar path; return how many ran.
+
+        The columns are float arrays of equal length, already checked
+        for release order. Each arrival refines the grid, is priced by
+        :func:`~repro.core.waterfill.waterfill_job` against a
+        :class:`~repro.perf.kernels.WindowKernel` of the live stores, and
+        is committed. The run stops right after the first arrival that
+        did not refine the grid (the grid has caught up, so the batched
+        path can take over) and before any later arrival flagged in
+        ``near`` (its window was on the grid already, so it cannot
+        refine it). Jobs and decisions land in one chunk.
+        """
+        limit = len(releases)
+        if near is not None and limit > 1 and near[1:].any():
+            limit = 1 + int(np.argmax(near[1:]))
+        rl = releases[:limit].tolist()
+        dl = deadlines[:limit].tolist()
+        wl = workloads[:limit].tolist()
+        vl = values[:limit].tolist()
+        acc: list[bool] = []
+        lam: list[float] = []
+        spd: list[float] = []
+        pw: list[float] = []
+        base_id = self._count
+        m = self.m
+        self._flush_suffixes()
+        try:
+            for t in range(limit):
+                release = rl[t]
+                deadline = dl[t]
+                if release > self._last_release:
+                    self._last_release = release
+                refined = self._refine_grid(release, deadline)
+                grid = self._grid
+                assert grid is not None
+                ks = grid.covering(release, deadline)
+                i0, j0 = ks.start, ks.stop
+                states = self._states
+                kernel = WindowKernel(
+                    states[i0:j0], grid.lengths[i0:j0].tolist(), m
+                )
+                outcome = waterfill_job(
+                    kernel,
+                    workload=wl[t],
+                    value=vl[t],
+                    delta=self.delta,
+                    power=self.power,
+                )
+                # Commit: sorted insertion into each interval's live store
+                # for an accept; either way the planned loads (``x̌``) are
+                # recorded. Exact zeros carry no information (the dense
+                # materialization is zero-initialized) and are skipped.
+                job_id = base_id + t
+                accepted = outcome.accepted
+                for offset, z in enumerate(outcome.loads.tolist()):
+                    if z == 0.0:
+                        continue
+                    k = i0 + offset
+                    if accepted:
+                        states[k].insert(job_id, z)
+                        self._stale_open.add(k)
+                    self._planned[k].append((job_id, z))
+                acc.append(accepted)
+                lam.append(outcome.lam)
+                spd.append(outcome.speed)
+                pw.append(outcome.planned_work)
+                if not refined:
+                    break
+        finally:
+            cnt = len(acc)
+            if cnt:
+                self._chunks.append(
+                    (
+                        releases[:cnt],
+                        deadlines[:cnt],
+                        workloads[:cnt],
+                        values[:cnt],
+                        acc,
+                        lam,
+                        spd,
+                        pw,
+                    )
+                )
+                self._count = base_id + cnt
+        return cnt
 
     def _materialize(self) -> tuple[Instance, tuple[JobDecision, ...]]:
-        """The (instance, decisions) pair in the historical shapes.
+        """The (instance, decisions) pair, built from the chunks.
 
-        Per-arrival runs stored both directly; epoch runs stored columns
-        and materialize the identical objects here — same floats, same
-        job order, names preserved when the caller provided Job objects.
+        Jobs the caller handed in as objects are reused as they are;
+        the others are rebuilt from the columns (same floats, no name).
         """
-        if self._jobs:
-            instance = Instance(tuple(self._jobs), m=self.m, alpha=self._alpha)
-            return instance, tuple(self._decisions)
         decisions = []
         jobs: list[Job] = []
+        given = self._given
         job_id = 0
         for rel, dl, wl, val, acc, lam, spd, pw in self._chunks:
             rel_l = rel.tolist()
@@ -316,21 +363,17 @@ class PDScheduler:
                         planned_work=pw[t],
                     )
                 )
-                if self._finish_jobs is None:
-                    jobs.append(
-                        Job(
-                            release=rel_l[t],
-                            deadline=dl_l[t],
-                            workload=wl_l[t],
-                            value=val_l[t],
-                        )
+                job = given.get(job_id)
+                if job is None:
+                    job = Job(
+                        release=rel_l[t],
+                        deadline=dl_l[t],
+                        workload=wl_l[t],
+                        value=val_l[t],
                     )
+                jobs.append(job)
                 job_id += 1
-        if self._finish_jobs is not None:
-            job_tuple = self._finish_jobs
-        else:
-            job_tuple = tuple(jobs)
-        instance = Instance(job_tuple, m=self.m, alpha=self._alpha)
+        instance = Instance(tuple(jobs), m=self.m, alpha=self._alpha)
         return instance, tuple(decisions)
 
     def finish(self) -> PDResult:
@@ -404,16 +447,8 @@ class PDScheduler:
         """Sum of values of rejected jobs so far (no dense schedule)."""
         if self._count == 0:
             return 0.0
-        if self._jobs:
-            values = np.array([j.value for j in self._jobs], dtype=np.float64)
-            finished = np.array(
-                [d.accepted for d in self._decisions], dtype=bool
-            )
-        else:
-            values = np.concatenate([c[3] for c in self._chunks])
-            finished = np.array(
-                [a for c in self._chunks for a in c[4]], dtype=bool
-            )
+        values = np.concatenate([c[3] for c in self._chunks])
+        finished = np.array([a for c in self._chunks for a in c[4]], dtype=bool)
         return float(values[~finished].sum())
 
     def streaming_cost(self) -> float:
@@ -512,28 +547,15 @@ class PDScheduler:
         return True
 
 
-def run_pd(
-    instance: Instance,
-    *,
-    delta: float | None = None,
-    batch: str | None = None,
-    epoch_size: int | None = None,
-) -> PDResult:
+def run_pd(instance: Instance, *, delta: float | None = None) -> PDResult:
     """Run PD on a full instance (jobs fed in arrival order).
 
     This is the main entry point of the library. Jobs are sorted by
     release time (deterministic tie-breaking); the returned result's
-    instance reflects that order.
-
-    ``batch`` selects the execution strategy — ``"arrival"`` (the
-    historical one-``arrive()``-per-job loop) or ``"epoch"`` (the
-    vectorized arrival-epoch layer of :mod:`repro.perf.epochs`,
-    consuming jobs in blocks straight off the columnar storage).
-    ``None`` defers to the ambient :func:`repro.perf.epochs.batch_mode`
-    context (default ``"arrival"``). The results are bit-identical
-    either way — batching is an execution strategy, never a result
-    change — so the choice deliberately does not participate in cache
-    keys. ``epoch_size`` tunes the epoch block length (epoch mode only).
+    instance reflects that order. The jobs are consumed straight off the
+    instance's columns by :meth:`PDScheduler.arrive_many`; when the
+    instance already holds ``Job`` objects, the result reuses them, so
+    job names survive.
 
     Examples
     --------
@@ -545,27 +567,11 @@ def run_pd(
     >>> [bool(a) for a in result.accepted_mask]
     [False, True]
     """
-    from ..perf.epochs import current_batch_mode
-
-    mode = batch if batch is not None else current_batch_mode()
-    if mode not in ("arrival", "epoch"):
-        raise InvalidParameterError(
-            f"batch must be 'arrival' or 'epoch', got {mode!r}"
-        )
     ordered = instance.sorted_by_release()
-    scheduler = PDScheduler(
-        m=ordered.m, alpha=ordered.alpha, delta=delta, batch=mode
-    )
-    if mode == "epoch":
-        if "jobs" in ordered.__dict__:
-            # Job objects already exist (possibly named): reuse them at
-            # finish() so the epoch result is byte-identical even for
-            # named jobs, which the columns cannot carry.
-            scheduler._finish_jobs = ordered.jobs
-        scheduler.arrive_many(ordered.arrays, epoch_size=epoch_size)
-    else:
-        for job in ordered.jobs:
-            scheduler.arrive(job)
+    scheduler = PDScheduler(m=ordered.m, alpha=ordered.alpha, delta=delta)
+    if "jobs" in ordered.__dict__:
+        scheduler._given = dict(enumerate(ordered.jobs))
+    scheduler.arrive_many(ordered.arrays)
     return scheduler.finish()
 
 

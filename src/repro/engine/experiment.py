@@ -194,12 +194,6 @@ class ExperimentSpec:
     transform:
         Optional hook ``(instance, params) -> instance`` applied after
         generation — for derived axes no named parameter covers.
-    batch_mode:
-        Execution strategy threaded into every compiled request
-        (``"arrival"`` / ``"epoch"``; ``None`` keeps the ambient
-        default). Bit-parity-tested to never change a record, so it is
-        *not* an experiment axis — it does not label cells or cache
-        keys, it only picks the main-loop implementation.
     """
 
     name: str
@@ -214,7 +208,6 @@ class ExperimentSpec:
     family_kwargs: Mapping[str, Any] = field(default_factory=dict)
     transform: Callable[[Instance, Mapping[str, Any]], Instance] | None = None
     skip_incapable: bool = False
-    batch_mode: str | None = None
 
     def __post_init__(self) -> None:
         sources = sum(
@@ -230,11 +223,6 @@ class ExperimentSpec:
             raise InvalidParameterError(
                 "specify exactly one of family=, base_instance=, or "
                 "workloads="
-            )
-        if self.batch_mode not in (None, "arrival", "epoch"):
-            raise InvalidParameterError(
-                f"batch_mode must be 'arrival', 'epoch', or None, "
-                f"got {self.batch_mode!r}"
             )
         if not self.algorithms:
             raise InvalidParameterError("need at least one algorithm")
@@ -507,14 +495,7 @@ class ExperimentSpec:
                             "seed": seed,
                             "experiment": self.name,
                         }
-                        out.append(
-                            RunRequest(
-                                algorithm,
-                                inst,
-                                tag=tag,
-                                batch=self.batch_mode,
-                            )
-                        )
+                        out.append(RunRequest(algorithm, inst, tag=tag))
                 cell_id += 1
         return out
 

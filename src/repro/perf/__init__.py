@@ -7,11 +7,13 @@ simulation paths scale without changing a single bit of their output:
   (:class:`~repro.perf.kernels.IntervalLoads`) and the window
   evaluator (:class:`~repro.perf.kernels.WindowKernel`) the primal-dual
   water-filling prices jobs against;
-* :mod:`repro.perf.epochs` — arrival-epoch batched execution of the
-  PD main loop (:func:`~repro.perf.epochs.arrive_epochs` plus the
-  ambient :func:`~repro.perf.epochs.batch_mode` switch): blocks of
-  consecutive arrivals consumed off the columnar job storage with
-  vectorized order/window/screen passes, bit-identical decisions;
+* :mod:`repro.perf.epochs` — the block loop behind
+  :meth:`~repro.core.pd.PDScheduler.arrive_many`, PD's one driver
+  (:func:`~repro.perf.epochs.arrive_epochs`): blocks of consecutive
+  arrivals consumed off the columnar job storage, run one by one
+  through the scheduler's scalar path while they refine the grid and
+  decided with vectorized order/window/screen passes once it has
+  settled, bit-identical decisions;
 * :mod:`repro.perf.energy` — batched multi-interval energy evaluation
   over a column-sparse view of the loads, O(nnz + N):
   :func:`~repro.perf.energy.schedule_energy` reads a schedule's
@@ -32,12 +34,7 @@ execution strategy here, never a result change.
 """
 
 from .energy import schedule_energy, stores_energy
-from .epochs import (
-    DEFAULT_EPOCH_SIZE,
-    arrive_epochs,
-    batch_mode,
-    current_batch_mode,
-)
+from .epochs import DEFAULT_EPOCH_SIZE, arrive_epochs
 from .kernels import IntervalLoads, WindowKernel
 
 __all__ = [
@@ -45,8 +42,6 @@ __all__ = [
     "IntervalLoads",
     "WindowKernel",
     "arrive_epochs",
-    "batch_mode",
-    "current_batch_mode",
     "schedule_energy",
     "stores_energy",
 ]

@@ -199,12 +199,13 @@ def _pd_stream_point(point: Mapping[str, Any]) -> dict:
 
     The dense ``(n, N)`` schedule matrix a ``finish()`` would build is
     tens of gigabytes at a million jobs — this point exercises exactly
-    the path that avoids it: columnar ``slotted`` generation, the
-    arrival-epoch batched main loop (:mod:`repro.perf.epochs` — the
-    bit-parity-tested fast twin of the per-arrival loop), and
-    :meth:`PDScheduler.streaming_cost` off the live stores. The ``cost``
-    field is byte-identical to what the per-arrival loop produces, so
-    baselines emitted before the epoch path still match on identity.
+    the path that avoids it: columnar ``slotted`` generation,
+    :meth:`PDScheduler.arrive_many` (the arrival-epoch block loop of
+    :mod:`repro.perf.epochs`, bit-parity-tested against the dense
+    per-arrival twin), and :meth:`PDScheduler.streaming_cost` off the
+    live stores. The ``cost`` field is byte-identical to what the
+    per-arrival loop produces, so older baselines still match on
+    identity.
     """
     from ..core.pd import PDScheduler
     from ..workloads import slotted_instance
@@ -214,7 +215,7 @@ def _pd_stream_point(point: Mapping[str, Any]) -> dict:
     arrays = instance.sorted_by_release().arrays
 
     def exercise() -> float:
-        sched = PDScheduler(m=m, alpha=3.0, batch="epoch")
+        sched = PDScheduler(m=m, alpha=3.0)
         sched.arrive_many(arrays)
         return sched.streaming_cost()
 
@@ -223,14 +224,14 @@ def _pd_stream_point(point: Mapping[str, Any]) -> dict:
 
 
 def _oa_stream_point(point: Mapping[str, Any]) -> dict:
-    """Incremental OA at 100k jobs: lazy-prefix replans, epoch bookkeeping."""
+    """Incremental OA at 100k jobs: lazy-prefix replans."""
     from ..classical.oa import oa_segments
     from ..model.power import PolynomialPower
     from ..workloads import slotted_instance
 
     n = int(point["n"])
     instance = slotted_instance(n, slots=2000, m=1, alpha=3.0, seed=0)
-    wall, out = _timed(lambda: oa_segments(instance, batch="epoch"))
+    wall, out = _timed(lambda: oa_segments(instance))
     _, executed = out
     power = PolynomialPower(3.0)
     energy = sum(

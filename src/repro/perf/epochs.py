@@ -1,27 +1,26 @@
 """Arrival-epoch batched execution of the primal-dual scheduler.
 
-The online loop of :class:`~repro.core.pd.PDScheduler` is faithful but
-*literal*: one Python ``arrive()`` per job — Job materialization, a
-fresh-point probe, a ``covering()`` walk, a
-:class:`~repro.perf.kernels.WindowKernel` build, and a decision object,
-per arrival. At the million-job tier the interpreter overhead of that
-choreography dwarfs the actual water-filling arithmetic.
-
-This module replays the identical per-arrival semantics in **epochs**:
-blocks of consecutive arrivals consumed straight off the
-:class:`~repro.model.job_arrays.JobArrays` columns, with the per-job
-bookkeeping hoisted into batched numpy passes:
+:meth:`repro.core.pd.PDScheduler.arrive_many` is the one PD driver, and
+this module is its block loop. Arrivals are consumed in **epochs** —
+blocks of :data:`DEFAULT_EPOCH_SIZE` consecutive jobs read straight off
+the :class:`~repro.model.job_arrays.JobArrays` columns — and each block
+picks its own processing from what it observes:
 
 * **release-order check** — one ``np.maximum.accumulate`` running-max
   pass per block (same tolerance, same error message, raised at the
   same prefix position as the sequential loop);
 * **refinement scan** — the :meth:`~repro.model.intervals.Grid.fresh_points`
   nearness test, vectorized over every window endpoint in the block.
-  Blocks are *split at the first refining arrival*: that job runs the
-  full scalar path (grid refinement included), everything before it is
-  batched against a grid that provably does not change under it. In
-  steady state (the grid has converged to the workload's breakpoints)
-  blocks run at full width;
+  A block whose first arrival refines the grid hands the run to the
+  scheduler's scalar routine, which takes arrivals one by one (grid
+  refinement included) for as long as they keep refining: it stops
+  right after the first arrival that did not refine, and before any
+  arrival that was on the grid already. While the grid is still
+  growing (every arrival brings new breakpoints) one run spans the
+  whole block; a block that starts on the grid is batched up to its
+  first refining arrival, against a grid that provably does not change
+  under it. In steady state (the grid has converged to the workload's
+  breakpoints) blocks run batched at full width;
 * **window lookup** — one vectorized ``np.searchsorted`` for every
   window endpoint in the block, replicating the exact
   ``_boundary_index`` tolerance semantics of ``Grid.covering``;
@@ -46,22 +45,20 @@ bookkeeping hoisted into batched numpy passes:
   per-block columns; ``JobDecision``/``Instance`` objects materialize
   once, in ``finish()``.
 
-A job that survives the screen runs the *reference* scalar water-fill
-(:func:`repro.core.waterfill.waterfill_job` over a ``WindowKernel`` of
-the live stores) — the same floats in the same order — so decisions,
-load stores, planned loads, certificates, record payloads, and cache
-keys are byte-identical to the per-arrival path. The differential suite
-(``tests/test_epochs.py``) asserts exactly that, and ``repro lint``
-pins every public name here to its reference twin
+A job that survives the screen runs the same scalar water-fill as the
+scalar routine (:func:`repro.core.waterfill.waterfill_job` over a
+``WindowKernel`` of the live stores) — the same floats in the same
+order — so decisions, load stores, planned loads, certificates, record
+payloads, and cache keys are byte-identical to the dense per-arrival
+twin :func:`repro.perf.reference.run_pd_reference`. The differential
+suite (``tests/test_epochs.py``) asserts exactly that, for any block
+length, and ``repro lint`` pins every public name here to that twin
 (:data:`repro.perf.reference.PARITY_PAIRS`).
 """
 
 from __future__ import annotations
 
-import contextvars
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -71,17 +68,12 @@ from ..model.intervals import _TIME_EPS
 from ..model.power import PolynomialPower
 from .kernels import WindowKernel
 
-__all__ = [
-    "DEFAULT_EPOCH_SIZE",
-    "arrive_epochs",
-    "batch_mode",
-    "current_batch_mode",
-]
+__all__ = ["DEFAULT_EPOCH_SIZE", "arrive_epochs"]
 
-#: Default arrival-epoch block length. Large enough to amortize the
-#: per-block numpy passes over thousands of arrivals, small enough that
-#: the block-start screen envelope stays tight (levels only rise within
-#: a block, so an over-long epoch degrades the screen hit rate, never
+#: Arrival-epoch block length. Large enough to amortize the per-block
+#: numpy passes over thousands of arrivals, small enough that the
+#: block-start screen envelope stays tight (levels only rise within a
+#: block, so an over-long epoch degrades the screen hit rate, never
 #: correctness).
 DEFAULT_EPOCH_SIZE = 2048
 
@@ -91,66 +83,19 @@ DEFAULT_EPOCH_SIZE = 2048
 #: full path.
 _SCREEN_MARGIN = 1e-9
 
-_BATCH_MODES = ("arrival", "epoch")
 
-_MODE: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_batch_mode", default="arrival"
-)
-
-
-def current_batch_mode() -> str:
-    """The ambient execution mode ``run_pd``/``run_oa`` default to."""
-    return _MODE.get()
-
-
-@contextmanager
-def batch_mode(mode: str | None) -> Iterator[None]:
-    """Context manager selecting the ambient batch execution mode.
-
-    ``None`` is a no-op (keeps the surrounding mode) so callers can
-    thread an optional setting through unconditionally. The mode is an
-    *execution* option: it changes how results are computed, never what
-    they are, and therefore deliberately stays out of
-    :func:`repro.engine.runner.request_key` — a cached record answers
-    requests from either mode.
-    """
-    if mode is None:
-        yield
-        return
-    if mode not in _BATCH_MODES:
-        raise InvalidParameterError(
-            f"batch must be one of {_BATCH_MODES}, got {mode!r}"
-        )
-    token = _MODE.set(mode)
-    try:
-        yield
-    finally:
-        _MODE.reset(token)
-
-
-def arrive_epochs(scheduler, arrays, *, epoch_size: int = DEFAULT_EPOCH_SIZE) -> None:
-    """Feed every job of ``arrays`` to ``scheduler`` in vectorized epochs.
+def arrive_epochs(scheduler, arrays) -> None:
+    """Feed every job of ``arrays`` to ``scheduler`` in epochs.
 
     Mutates ``scheduler`` (a :class:`~repro.core.pd.PDScheduler`) into
     exactly the state the sequential ``for i: scheduler.arrive(arrays.job(i))``
     loop would produce — same grid, same stores, same planned loads,
-    same decisions — while storing jobs and decisions columnar. The
-    scheduler must not have been fed through ``arrive()`` before (the
-    two storage layouts do not mix).
+    same decisions — while storing jobs and decisions columnar.
     """
-    if epoch_size < 1:
-        raise InvalidParameterError(
-            f"epoch_size must be >= 1, got {epoch_size}"
-        )
-    if scheduler._jobs:
-        raise InvalidParameterError(
-            "cannot mix epoch-batched arrivals with arrive(); this "
-            "scheduler already holds per-arrival jobs"
-        )
     n = arrays.n
     i = 0
     while i < n:
-        i = _process_block(scheduler, arrays, i, min(i + epoch_size, n))
+        i = _process_block(scheduler, arrays, i, min(i + DEFAULT_EPOCH_SIZE, n))
 
 
 # ----------------------------------------------------------------------
@@ -210,73 +155,13 @@ def _refresh_opens(sched) -> np.ndarray:
     return opens
 
 
-def _scalar_arrive(sched, arrays, i: int) -> None:
-    """One arrival through the full scalar path (grid refinement included).
-
-    Used for the grid-bootstrapping first job and for every arrival
-    whose window endpoints do not snap to the current grid. Identical
-    to ``PDScheduler.arrive`` minus Job/decision object churn — the
-    release-order check already ran vectorized for the enclosing block.
-    """
-    release = float(arrays.releases[i])
-    deadline = float(arrays.deadlines[i])
-    workload = float(arrays.workloads[i])
-    value = float(arrays.values[i])
-    if release > sched._last_release:
-        sched._last_release = release
-
-    sched._flush_suffixes()
-    sched._stale_open.clear()
-    sched._refine_grid(release, deadline)
-    grid = sched._grid
-    ks = grid.covering(release, deadline)
-    lengths = grid.lengths
-    kernel = WindowKernel(
-        [sched._states[k] for k in ks],
-        [float(lengths[k]) for k in ks],
-        sched.m,
-    )
-    outcome = waterfill_job(
-        kernel,
-        workload=workload,
-        value=value,
-        delta=sched.delta,
-        power=sched.power,
-    )
-    job_id = sched._count
-    loads = outcome.loads
-    accepted = outcome.accepted
-    for offset, k in enumerate(ks):
-        z = float(loads[offset])
-        if z == 0.0:
-            continue
-        if accepted:
-            sched._states[k].insert(job_id, z)
-            if sched._opens is not None:
-                sched._stale_open.add(k)
-        sched._planned[k].append((job_id, z))
-    sched._chunks.append(
-        (
-            arrays.releases[i : i + 1],
-            arrays.deadlines[i : i + 1],
-            arrays.workloads[i : i + 1],
-            arrays.values[i : i + 1],
-            [accepted],
-            [outcome.lam],
-            [outcome.speed],
-            [outcome.planned_work],
-        )
-    )
-    sched._count = job_id + 1
-
-
 def _process_block(sched, arrays, lo: int, hi: int) -> int:
     """Process arrivals ``[lo, hi)``; return the next unprocessed index.
 
     May stop early: at a release-order violation (after processing the
-    valid prefix, like the sequential loop would) or at the first
-    arrival that refines the grid (which runs the scalar path so every
-    later job in the block sees the refined grid).
+    valid prefix, like the sequential loop would), after the scalar run
+    a refining first arrival starts, or at the first refining arrival of
+    a batched block (so every later job sees the refined grid).
     """
     releases = arrays.releases
     r = releases[lo:hi]
@@ -293,20 +178,19 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
             f"{float(r[stop])} after {float(runmax[stop])}"
         )
 
-    if sched._grid is None:
-        _scalar_arrive(sched, arrays, lo)
-        return lo + 1
-
     grid = sched._grid
-    b = grid.boundaries
     d = arrays.deadlines[lo:hi]
-    ok = _near_boundary(b, r) & _near_boundary(b, d)
+    if grid is None:
+        ok = np.zeros(hi - lo, dtype=bool)
+    else:
+        b = grid.boundaries
+        ok = _near_boundary(b, r) & _near_boundary(b, d)
+    if not ok[0]:
+        return lo + sched._arrive_run(
+            r, d, arrays.workloads[lo:hi], arrays.values[lo:hi], ok
+        )
     if not bool(ok.all()):
-        cut = lo + int(np.argmin(ok))
-        if cut == lo:
-            _scalar_arrive(sched, arrays, lo)
-            return lo + 1
-        hi = cut
+        hi = lo + int(np.argmin(ok))
         r = r[: hi - lo]
         d = d[: hi - lo]
     cnt = hi - lo

@@ -33,7 +33,6 @@ from ..types import FloatArray
 __all__ = [
     "PARITY_PAIRS",
     "PDSchedulerReference",
-    "arrive_epochs_reference",
     "realize_reference",
     "run_pd_reference",
     "schedule_energy_reference",
@@ -54,12 +53,11 @@ PARITY_PAIRS = {
     "WindowKernel": "run_pd_reference",
     "schedule_energy": "schedule_energy_reference",
     "stores_energy": "schedule_energy_reference",
-    # Arrival-epoch batched execution (repro.perf.epochs): the reference
-    # twin is the per-arrival loop itself — one scalar arrive() per job.
-    "DEFAULT_EPOCH_SIZE": "arrive_epochs_reference",
-    "arrive_epochs": "arrive_epochs_reference",
-    "batch_mode": "arrive_epochs_reference",
-    "current_batch_mode": "arrive_epochs_reference",
+    # The arrival-epoch block loop behind PDScheduler.arrive_many
+    # (repro.perf.epochs): its twin is the dense per-arrival scheduler,
+    # for every block length.
+    "DEFAULT_EPOCH_SIZE": "run_pd_reference",
+    "arrive_epochs": "run_pd_reference",
 }
 
 
@@ -268,18 +266,6 @@ def run_pd_reference(
     for job in ordered.jobs:
         scheduler.arrive(job)
     return scheduler.finish()
-
-
-def arrive_epochs_reference(scheduler, arrays) -> None:
-    """The per-arrival twin of :func:`repro.perf.epochs.arrive_epochs`.
-
-    Feeds the columnar block one scalar ``arrive()`` at a time — the
-    exact loop the epoch layer replaces. The differential suite runs
-    both drivers against identical schedulers and asserts byte-identical
-    decisions, stores, planned loads, payloads, and cache keys.
-    """
-    for i in range(arrays.n):
-        scheduler.arrive(arrays.job(i))
 
 
 def waterfill_job_reference(

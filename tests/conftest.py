@@ -1,11 +1,27 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite.
+
+Hypothesis runs under the ``tier1`` profile by default: derandomized
+(the examples are a fixed function of each test) and without an example
+database, so every tier-1 run draws the same examples and nothing a
+previous run found leaks into the next. ``HYPOTHESIS_PROFILE=nightly``
+selects the scheduled CI run's profile: randomized (fresh examples every
+night) with a wider default example budget. Per-test ``@settings`` still
+override both, so a test that pins ``max_examples`` keeps its count.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.model.job import Instance
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("nightly", max_examples=1000, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

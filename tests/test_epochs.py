@@ -1,50 +1,49 @@
-"""Differential suite for arrival-epoch batched execution.
+"""Differential suite for PD's one driver, ``PDScheduler.arrive_many``.
 
-``repro.perf.epochs`` replays the per-arrival PD loop in vectorized
-blocks — and promises the replay is invisible: same decisions, same
-stores, same planned loads, same payload hashes, same cache keys, with
-:data:`repro.engine.runner.RECORD_VERSION` unchanged. Every test here
-runs the epoch path (:func:`repro.perf.epochs.arrive_epochs` and its
-wrappers) against the per-arrival twin
-(:func:`repro.perf.reference.arrive_epochs_reference` — one scalar
-``arrive()`` per job) and compares with exact equality, never
-tolerances. The OA epoch bookkeeping loop gets the same treatment.
+``arrive_many`` consumes arrivals in blocks (:mod:`repro.perf.epochs`):
+runs of grid-refining arrivals go one by one through the scheduler's
+scalar routine, settled blocks are screened and decided with batched
+numpy passes. It promises that choice is invisible: same decisions,
+same stores, same planned loads, same payload hashes, same cache keys,
+with :data:`repro.engine.runner.RECORD_VERSION` unchanged. Every test
+here runs the production path against the dense per-arrival twin
+(:class:`repro.perf.reference.PDSchedulerReference` /
+:func:`repro.perf.reference.run_pd_reference`) and compares with exact
+equality, never tolerances — for any block length
+(:data:`repro.perf.epochs.DEFAULT_EPOCH_SIZE`, feeding
+:func:`repro.perf.epochs.arrive_epochs`).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.classical.oa import oa_segments, run_oa
+import repro.classical.oa as oa_module
+import repro.core.pd as pd_module
+import repro.perf.epochs as epochs
+from repro.classical.oa import run_oa
 from repro.core.pd import PDScheduler, run_pd
-from repro.engine.experiment import ExperimentSpec
-from repro.engine.runner import (
-    RECORD_VERSION,
-    RunRequest,
-    evaluate_request,
-    request_key,
-)
+from repro.engine.runner import RECORD_VERSION, RunRequest, evaluate_request
 from repro.errors import InvalidParameterError
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.job import Instance
-from repro.perf.epochs import (
-    DEFAULT_EPOCH_SIZE,
-    arrive_epochs,
-    batch_mode,
-    current_batch_mode,
-)
-from repro.perf.reference import arrive_epochs_reference
+from repro.model.job_arrays import JobArrays
+from repro.perf.epochs import DEFAULT_EPOCH_SIZE, arrive_epochs
+from repro.perf.reference import PDSchedulerReference, run_pd_reference
 from repro.workloads import (
     diurnal_instance,
     heavy_tail_instance,
+    poisson_instance,
     slotted_instance,
 )
 
-#: (family, n, m) across the workload shapes the epoch layer must not
+#: (family, n, m) across the workload shapes the driver must not
 #: distort: slot-aligned streams (wide blocks, heavy screening),
 #: heavy-tail elephants (grid churn), and the datacenter mix (dense
-#: distinct releases — blocks split at nearly every refinement).
+#: distinct releases — nearly every arrival refines the grid).
 FAMILIES = [
     (slotted_instance, 300, 1),
     (slotted_instance, 300, 4),
@@ -72,16 +71,16 @@ def degenerate_single_interval(n: int = 16, m: int = 2) -> Instance:
 def tie_at_epoch_boundary(n: int = 24) -> Instance:
     """Byte-identical jobs in one shared window: every price computation
     ties exactly, so any ordering slip between the batched and the
-    sequential path would flip which job the tie-break admits. With
-    ``epoch_size=7`` the tie pairs straddle block boundaries."""
+    sequential path would flip which job the tie-break admits. With a
+    block length of 7 the tie pairs straddle block boundaries."""
     jobs = [(0.0, 3.0, 1.0, 2.5)] * n
     return Instance.from_tuples(jobs, m=2, alpha=3.0)
 
 
-def assert_epoch_parity(instance: Instance, **epoch_kwargs) -> None:
-    """Full-result bitwise comparison of epoch vs per-arrival PD."""
-    new = run_pd(instance, batch="epoch", **epoch_kwargs)
-    old = run_pd(instance, batch="arrival")
+def assert_twin_parity(instance: Instance) -> None:
+    """Full-result bitwise comparison of ``run_pd`` vs the dense twin."""
+    new = run_pd(instance)
+    old = run_pd_reference(instance)
     assert np.array_equal(new.schedule.loads, old.schedule.loads)
     assert np.array_equal(new.planned_loads, old.planned_loads)
     assert np.array_equal(new.lambdas, old.lambdas)
@@ -91,230 +90,283 @@ def assert_epoch_parity(instance: Instance, **epoch_kwargs) -> None:
     assert new.schedule.energy == old.schedule.energy
     assert new.cost == old.cost
     # The record body that gets content-hashed is byte-identical, so
-    # cached pre-epoch records keep answering epoch-mode requests.
+    # cached records keep answering requests.
     assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
         schedule_to_dict(old.schedule)
     )
 
 
-class TestPDEpochParity:
+def assert_state_matches_twin(
+    sched: PDScheduler, twin: PDSchedulerReference
+) -> None:
+    """Live stores, planned lists and caches against the dense twin."""
+    sched._flush_suffixes()
+    assert sched._count == len(twin._jobs)
+    assert np.array_equal(sched._grid.boundaries, twin._grid.boundaries)
+    assert np.array_equal(sched.snapshot_loads(), twin._loads)
+    for k, store in enumerate(sched._states):
+        col = twin._loads[:, k]
+        ids = np.flatnonzero(col)
+        order = np.argsort(-col[ids], kind="stable")
+        assert store.ids == ids[order].tolist()
+        assert store.loads == col[ids][order].tolist()
+        assert store.neg == [-x for x in store.loads]
+        suffix = [0.0] * (len(store.loads) + 1)
+        for i in range(len(store.loads) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + store.loads[i]
+        assert store.suffix == suffix
+    planned = np.zeros_like(twin._planned)
+    for k, entries in enumerate(sched._planned):
+        for job_id, z in entries:
+            planned[job_id, k] = z
+    assert np.array_equal(planned, twin._planned)
+
+
+def twin_fed(
+    arrays: JobArrays, m: int, upto: int | None = None
+) -> PDSchedulerReference:
+    """The dense twin fed the first ``upto`` jobs (all by default)."""
+    twin = PDSchedulerReference(m=m, alpha=3.0)
+    for i in range(arrays.n if upto is None else upto):
+        twin.arrive(arrays.job(i))
+    return twin
+
+
+@pytest.fixture(params=[1, 7, 2048])
+def epoch_size(request, monkeypatch):
+    """The block length, patched where ``arrive_epochs`` reads it."""
+    monkeypatch.setattr(epochs, "DEFAULT_EPOCH_SIZE", request.param)
+    return request.param
+
+
+class TestTwinParity:
     @pytest.mark.parametrize("family,n,m", FAMILIES)
     @pytest.mark.parametrize("seed", [0, 11])
     def test_families_bitwise_identical(self, family, n, m, seed):
-        assert_epoch_parity(family(n, m=m, alpha=3.0, seed=seed))
+        assert_twin_parity(family(n, m=m, alpha=3.0, seed=seed))
 
     def test_degenerate_single_interval_grid(self):
-        assert_epoch_parity(degenerate_single_interval())
+        assert_twin_parity(degenerate_single_interval())
 
-    def test_exact_price_ties_across_epoch_boundaries(self):
-        assert_epoch_parity(tie_at_epoch_boundary(), epoch_size=7)
+    def test_exact_price_ties_across_epoch_boundaries(self, monkeypatch):
+        monkeypatch.setattr(epochs, "DEFAULT_EPOCH_SIZE", 7)
+        assert_twin_parity(tie_at_epoch_boundary())
 
-    @pytest.mark.parametrize("epoch_size", [1, 7, 300])
-    def test_epoch_size_invariant(self, epoch_size):
-        """The block length is pure tuning: size 1 (every job scalar),
-        a prime that misaligns with everything, and n (one block)."""
-        inst = slotted_instance(300, slots=40, m=4, alpha=3.0, seed=2)
-        assert_epoch_parity(inst, epoch_size=epoch_size)
-
-    def test_scheduler_state_identical(self):
-        """Not just the results — the live stores themselves: loads,
-        insertion-order ids, flushed suffixes, planned lists."""
-        inst = slotted_instance(400, slots=60, m=4, alpha=3.0, seed=1)
-        arrays = inst.sorted_by_release().arrays
-        fast = PDScheduler(m=4, alpha=3.0, batch="epoch")
-        arrive_epochs(fast, arrays, epoch_size=64)
-        slow = PDScheduler(m=4, alpha=3.0)
-        arrive_epochs_reference(slow, arrays)
-        fast._flush_suffixes()
-        assert np.array_equal(fast._grid.boundaries, slow._grid.boundaries)
-        for fs, ss in zip(fast._states, slow._states):
-            assert fs.loads == ss.loads
-            assert fs.ids == ss.ids
-            assert fs.suffix == ss.suffix
-        assert fast._planned == slow._planned
-        assert fast.streaming_cost() == slow.streaming_cost()
-        assert fast.streaming_energy() == slow.streaming_energy()
-        assert fast.streaming_lost_value() == slow.streaming_lost_value()
-        assert np.array_equal(fast.snapshot_loads(), slow.snapshot_loads())
-
-    def test_named_jobs_survive_epoch_runs(self):
-        jobs = [
-            (0.0, 2.0, 1.0, 3.0, "first"),
-            (0.5, 2.5, 0.5, 0.001, "junk"),
-            (1.0, 3.0, 1.5, 5.0, "big"),
-        ]
-        inst = Instance.from_tuples(jobs, m=1, alpha=3.0)
-        new = run_pd(inst, batch="epoch")
-        old = run_pd(inst, batch="arrival")
-        assert [j.name for j in new.schedule.instance.jobs] == [
-            j.name for j in old.schedule.instance.jobs
-        ]
-        assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
-            schedule_to_dict(old.schedule)
+    def test_block_length_invariant(self, epoch_size):
+        """The block length is pure tuning: 1 (every block one job), a
+        prime that misaligns with everything, and the default."""
+        assert_twin_parity(
+            slotted_instance(300, slots=40, m=4, alpha=3.0, seed=2)
         )
-
-
-class TestEpochErrors:
-    def test_epoch_size_must_be_positive(self):
-        sched = PDScheduler(m=1, alpha=3.0, batch="epoch")
-        arrays = slotted_instance(5, slots=3, seed=0).sorted_by_release().arrays
-        with pytest.raises(InvalidParameterError, match="epoch_size"):
-            arrive_epochs(sched, arrays, epoch_size=0)
-
-    def test_cannot_mix_arrive_with_epoch_batches(self):
-        inst = slotted_instance(6, slots=3, seed=0).sorted_by_release()
-        sched = PDScheduler(m=1, alpha=3.0, batch="epoch")
-        sched.arrive_many(inst.arrays)
-        with pytest.raises(InvalidParameterError, match="cannot mix"):
-            sched.arrive(inst.jobs[0])
-        other = PDScheduler(m=1, alpha=3.0)
-        other.arrive(inst.jobs[0])
-        with pytest.raises(InvalidParameterError, match="cannot mix"):
-            arrive_epochs(other, inst.arrays)
-
-    def test_release_order_violation_processes_prefix_first(self):
-        """Mid-block violations must leave the scheduler exactly where
-        the sequential loop would: valid prefix processed, then raise."""
-        from repro.model.job_arrays import JobArrays
-
-        arrays = JobArrays(
-            releases=np.array([0.0, 1.0, 2.0, 0.5]),
-            deadlines=np.array([2.0, 3.0, 4.0, 2.5]),
-            workloads=np.ones(4),
-            values=np.full(4, 2.0),
-        )
-        fast = PDScheduler(m=1, alpha=3.0, batch="epoch")
-        with pytest.raises(InvalidParameterError, match="release order"):
-            arrive_epochs(fast, arrays, epoch_size=8)
-        slow = PDScheduler(m=1, alpha=3.0)
-        with pytest.raises(InvalidParameterError, match="release order"):
-            arrive_epochs_reference(slow, arrays)
-        assert fast._count == 3
-        fast._flush_suffixes()
-        for fs, ss in zip(fast._states, slow._states):
-            assert fs.loads == ss.loads
-
-    def test_invalid_batch_mode_rejected(self):
-        inst = slotted_instance(4, slots=2, seed=0)
-        with pytest.raises(InvalidParameterError, match="batch"):
-            run_pd(inst, batch="bogus")
-        with pytest.raises(InvalidParameterError, match="batch"):
-            PDScheduler(m=1, alpha=3.0, batch="bogus")
-
-
-class TestBatchModeContext:
-    def test_default_is_arrival(self):
-        assert current_batch_mode() == "arrival"
-
-    def test_context_sets_and_restores(self):
-        with batch_mode("epoch"):
-            assert current_batch_mode() == "epoch"
-            with batch_mode(None):  # None is a no-op wrap
-                assert current_batch_mode() == "epoch"
-            with batch_mode("arrival"):
-                assert current_batch_mode() == "arrival"
-            assert current_batch_mode() == "epoch"
-        assert current_batch_mode() == "arrival"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(InvalidParameterError, match="batch"):
-            with batch_mode("turbo"):
-                pass  # pragma: no cover
-
-    def test_run_pd_defers_to_ambient_mode(self):
-        inst = slotted_instance(60, slots=10, m=2, alpha=3.0, seed=4)
-        old = run_pd(inst)
-        with batch_mode("epoch"):
-            new = run_pd(inst)
-        assert new.decisions == old.decisions
-        assert new.cost == old.cost
+        assert_twin_parity(poisson_instance(120, m=2, alpha=3.0, seed=4))
+        assert_twin_parity(tie_at_epoch_boundary())
 
     def test_default_epoch_size_is_sane(self):
         assert DEFAULT_EPOCH_SIZE >= 1
 
+    def test_scheduler_state_identical(self, epoch_size):
+        """Not just the results — the live stores themselves: loads,
+        insertion-order ids, flushed suffixes, planned lists."""
+        inst = slotted_instance(400, slots=60, m=4, alpha=3.0, seed=1)
+        arrays = inst.sorted_by_release().arrays
+        fast = PDScheduler(m=4, alpha=3.0)
+        arrive_epochs(fast, arrays)
+        twin = twin_fed(arrays, m=4)
+        assert_state_matches_twin(fast, twin)
+        result = twin.finish()
+        assert fast.streaming_energy() == result.schedule.energy
+        assert fast.streaming_lost_value() == result.schedule.lost_value
+        assert fast.streaming_cost() == result.cost
 
-class TestOAEpochParity:
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_segments_bitwise_identical(self, seed):
-        for family, n in [
-            (slotted_instance, 250),
-            (heavy_tail_instance, 120),
-            (diurnal_instance, 150),
-        ]:
-            inst = family(n, m=1, alpha=3.0, seed=seed)
-            _, old = oa_segments(inst, batch="arrival")
-            _, new = oa_segments(inst, batch="epoch")
-            assert new == old
+    def test_arrive_loop_state_identical(self):
+        inst = slotted_instance(300, slots=50, m=2, alpha=3.0, seed=9)
+        arrays = inst.sorted_by_release().arrays
+        sched = PDScheduler(m=2, alpha=3.0)
+        for i in range(arrays.n):
+            sched.arrive(arrays.job(i))
+        twin = twin_fed(arrays, m=2)
+        assert_state_matches_twin(sched, twin)
+        assert sched.finish().decisions == twin.finish().decisions
 
-    def test_run_oa_schedule_identical(self):
-        inst = slotted_instance(150, slots=25, m=1, alpha=3.0, seed=3)
-        old = run_oa(inst, batch="arrival")
-        new = run_oa(inst, batch="epoch")
-        assert np.array_equal(new.schedule.loads, old.schedule.loads)
-        assert new.segments == old.segments
-        assert new.energy == old.energy
+
+class TestNamedJobs:
+    JOBS = [
+        (0.0, 2.0, 1.0, 3.0, "first"),
+        (0.5, 2.5, 0.5, 0.001, "junk"),
+        (1.0, 3.0, 1.5, 5.0, "big"),
+    ]
+
+    def test_named_jobs_survive_run_pd(self):
+        inst = Instance.from_tuples(self.JOBS, m=1, alpha=3.0)
+        new = run_pd(inst)
+        old = run_pd_reference(inst)
+        assert [j.name for j in new.schedule.instance.jobs] == [
+            "first", "junk", "big"
+        ]
+        assert new.schedule.instance.jobs == old.schedule.instance.jobs
         assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
             schedule_to_dict(old.schedule)
         )
 
-    def test_reference_replan_excludes_epoch_batching(self):
-        inst = slotted_instance(10, slots=4, m=1, alpha=3.0, seed=0)
-        with pytest.raises(InvalidParameterError, match="replan"):
-            oa_segments(inst, replan="reference", batch="epoch")
+    def test_named_jobs_survive_arrive(self):
+        inst = Instance.from_tuples(self.JOBS, m=1, alpha=3.0)
+        sched = PDScheduler(m=1, alpha=3.0)
+        twin = PDSchedulerReference(m=1, alpha=3.0)
+        for job in inst.jobs:
+            assert sched.arrive(job) == twin.arrive(job)
+        new = sched.finish()
+        old = twin.finish()
+        assert [j.name for j in new.schedule.instance.jobs] == [
+            "first", "junk", "big"
+        ]
+        assert new.schedule.instance.jobs == old.schedule.instance.jobs
+        assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
+            schedule_to_dict(old.schedule)
+        )
 
-    def test_ambient_mode_reaches_oa(self):
-        inst = slotted_instance(80, slots=12, m=1, alpha=3.0, seed=6)
-        _, old = oa_segments(inst)
-        with batch_mode("epoch"):
-            _, new = oa_segments(inst)
-        assert new == old
+
+class TestMixedDrivers:
+    def test_arrive_then_arrive_many(self, epoch_size):
+        inst = slotted_instance(200, slots=30, m=2, alpha=3.0, seed=3)
+        ordered = inst.sorted_by_release()
+        split = 37
+        sched = PDScheduler(m=2, alpha=3.0)
+        for job in ordered.jobs[:split]:
+            sched.arrive(job)
+        sched.arrive_many(JobArrays.from_jobs(ordered.jobs[split:]))
+        twin = twin_fed(ordered.arrays, m=2)
+        assert_state_matches_twin(sched, twin)
+        new = sched.finish()
+        old = twin.finish()
+        assert new.decisions == old.decisions
+        assert new.schedule.instance.jobs == old.schedule.instance.jobs
+        assert np.array_equal(new.planned_loads, old.planned_loads)
+
+    def test_arrive_many_then_arrive(self):
+        inst = slotted_instance(200, slots=30, m=2, alpha=3.0, seed=5)
+        ordered = inst.sorted_by_release()
+        sched = PDScheduler(m=2, alpha=3.0)
+        sched.arrive_many(JobArrays.from_jobs(ordered.jobs[:150]))
+        for job in ordered.jobs[150:]:
+            sched.arrive(job)
+        twin = twin_fed(ordered.arrays, m=2)
+        assert_state_matches_twin(sched, twin)
+        assert sched.finish().decisions == twin.finish().decisions
+
+
+class TestEpochErrors:
+    VIOLATION = JobArrays(
+        releases=np.array([0.0, 1.0, 2.0, 0.5]),
+        deadlines=np.array([2.0, 3.0, 4.0, 2.5]),
+        workloads=np.ones(4),
+        values=np.full(4, 2.0),
+    )
+
+    def test_release_order_violation_processes_prefix_first(self, epoch_size):
+        """Mid-block violations must leave the scheduler exactly where
+        the sequential loop would: valid prefix processed, then raise."""
+        fast = PDScheduler(m=1, alpha=3.0)
+        with pytest.raises(InvalidParameterError, match="release order"):
+            fast.arrive_many(self.VIOLATION)
+        assert fast._count == 3
+        assert_state_matches_twin(fast, twin_fed(self.VIOLATION, m=1, upto=3))
+
+    def test_release_order_violation_through_arrive(self):
+        sched = PDScheduler(m=1, alpha=3.0)
+        twin = PDSchedulerReference(m=1, alpha=3.0)
+        for i in range(3):
+            sched.arrive(self.VIOLATION.job(i))
+            twin.arrive(self.VIOLATION.job(i))
+        late = self.VIOLATION.job(3)
+        with pytest.raises(InvalidParameterError, match="release order"):
+            sched.arrive(late)
+        with pytest.raises(InvalidParameterError, match="release order"):
+            twin.arrive(late)
+        assert sched._count == 3
+        assert_state_matches_twin(sched, twin)
+
+    def test_invalid_batch_rejected(self):
+        # ``batch`` is inert but still validated.
+        with pytest.raises(InvalidParameterError, match="batch"):
+            PDScheduler(m=1, alpha=3.0, batch="bogus")
+        a = PDScheduler(m=1, alpha=3.0, batch="epoch")
+        b = PDScheduler(m=1, alpha=3.0, batch="arrival")
+        arrays = slotted_instance(40, slots=8, seed=0).sorted_by_release().arrays
+        a.arrive_many(arrays)
+        b.arrive_many(arrays)
+        assert a.streaming_cost() == b.streaming_cost()
+
+
+class TestRegimeGuards:
+    """Each guard fails on one of the two regressions the driver design
+    avoids: a scalar run that swallows the rest of a block, slot-mates
+    the screen could have decided included (screens ~5% here), and a
+    fresh block scan after every refining arrival (one block per job)."""
+
+    def test_settled_input_screens_most_arrivals(self, monkeypatch):
+        calls = [0]
+
+        def counting(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # Both bindings: the scalar run prices through repro.core.pd's,
+        # the batched path through repro.perf.epochs'.
+        for module in (pd_module, epochs):
+            monkeypatch.setattr(
+                module, "waterfill_job", counting(module.waterfill_job)
+            )
+        # 200 jobs per slot: the grid settles on the slot boundaries
+        # early and the screen decides ~62% of the arrivals.
+        n = 20_000
+        inst = slotted_instance(n, slots=100, m=4, alpha=3.0, seed=0)
+        sched = PDScheduler(m=4, alpha=3.0)
+        sched.arrive_many(inst.sorted_by_release().arrays)
+        assert sched._count == n
+        assert n - calls[0] >= 0.5 * n, f"{calls[0]} water-fills for {n} arrivals"
+
+    def test_refining_input_runs_few_blocks(self, monkeypatch):
+        blocks = [0]
+        original = epochs._process_block
+
+        def counting(*args):
+            blocks[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(epochs, "_process_block", counting)
+        n = 500
+        inst = poisson_instance(n, m=4, alpha=3.0, seed=0)
+        result = run_pd(inst)
+        assert result.schedule.instance.n == n
+        assert blocks[0] <= n / 8, f"{blocks[0]} blocks for {n} arrivals"
 
 
 class TestEngineCacheIdentity:
     def test_record_version_unbumped(self):
-        # Epoch batching changes HOW results are computed, never WHAT —
-        # it leaves the version where the solver put it (3: the exact
-        # water-fill); a bump for batching would cold-start every cache
-        # for nothing.
+        # How PD's driver processes arrivals changes HOW results are
+        # computed, never WHAT — the version stays where the solver put
+        # it (3: the exact water-fill); a bump for an execution change
+        # would cold-start every cache for nothing.
         assert RECORD_VERSION == 3
 
-    def test_request_key_ignores_batch(self):
-        inst = slotted_instance(30, slots=6, m=2, alpha=3.0, seed=1)
-        assert request_key("pd", inst) == request_key("pd", inst)
-        ra = RunRequest("pd", inst, batch="arrival")
-        re_ = RunRequest("pd", inst, batch="epoch")
-        assert request_key(ra.algorithm, ra.instance) == request_key(
-            re_.algorithm, re_.instance
-        )
-
-    @pytest.mark.parametrize("algorithm", ["pd", "oa"])
-    def test_evaluate_request_payload_identical(self, algorithm):
+    @pytest.mark.parametrize(
+        "algorithm,module,name,twin",
+        [
+            ("pd", pd_module, "run_pd", run_pd_reference),
+            ("oa", oa_module, "run_oa", functools.partial(run_oa, replan="reference")),
+        ],
+    )
+    def test_evaluate_request_payload_identical(
+        self, algorithm, module, name, twin, monkeypatch
+    ):
         inst = slotted_instance(40, slots=8, m=1, alpha=3.0, seed=2)
-        pa = evaluate_request(RunRequest(algorithm, inst, batch="arrival"))
-        pe = evaluate_request(RunRequest(algorithm, inst, batch="epoch"))
-        pa.pop("wall_time")
-        pe.pop("wall_time")
-        assert pa == pe
-
-    def test_experiment_spec_threads_batch_mode(self):
-        spec = ExperimentSpec(
-            name="t",
-            family="poisson",
-            grid={"alpha": [3.0], "m": [1]},
-            n=12,
-            seeds=(0,),
-            batch_mode="epoch",
-        )
-        assert all(r.batch == "epoch" for r in spec.requests())
-        plain = ExperimentSpec(
-            name="t",
-            family="poisson",
-            grid={"alpha": [3.0], "m": [1]},
-            n=12,
-            seeds=(0,),
-        )
-        assert all(r.batch is None for r in plain.requests())
-
-    def test_experiment_spec_rejects_unknown_batch_mode(self):
-        with pytest.raises(InvalidParameterError, match="batch_mode"):
-            ExperimentSpec(name="t", family="poisson", batch_mode="turbo")
+        fast = evaluate_request(RunRequest(algorithm, inst))
+        monkeypatch.setattr(module, name, twin)
+        slow = evaluate_request(RunRequest(algorithm, inst))
+        fast.pop("wall_time")
+        slow.pop("wall_time")
+        assert fast == slow
