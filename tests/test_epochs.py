@@ -24,10 +24,17 @@ import pytest
 import repro.classical.oa as oa_module
 import repro.core.pd as pd_module
 import repro.perf.epochs as epochs
-from repro.classical.oa import run_oa
+from repro.classical.oa import oa_segments, run_oa
 from repro.core.pd import PDScheduler, run_pd
-from repro.engine.runner import RECORD_VERSION, RunRequest, evaluate_request
+from repro.engine.experiment import ExperimentSpec
+from repro.engine.runner import (
+    RECORD_VERSION,
+    RunRequest,
+    evaluate_request,
+    request_key,
+)
 from repro.errors import InvalidParameterError
+from repro.io.cli import main as cli_main
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.job import Instance
 from repro.model.job_arrays import JobArrays
@@ -297,6 +304,52 @@ class TestEpochErrors:
         assert a.streaming_cost() == b.streaming_cost()
 
 
+    def test_removed_execution_knobs_are_rejected(self, capsys):
+        """The knobs that picked a path by hand are gone, not silently
+        swallowed: passing one fails loudly at every layer."""
+        inst = slotted_instance(10, slots=4, m=1, alpha=3.0, seed=0)
+        with pytest.raises(TypeError):
+            run_pd(inst, batch="epoch")
+        with pytest.raises(TypeError):
+            run_pd(inst, epoch_size=64)
+        with pytest.raises(TypeError):
+            PDScheduler(m=1, alpha=3.0).arrive_many(
+                inst.sorted_by_release().arrays, epoch_size=64
+            )
+        with pytest.raises(TypeError):
+            RunRequest("pd", inst, batch="epoch")
+        with pytest.raises(TypeError):
+            ExperimentSpec(
+                name="t",
+                family="poisson",
+                grid={"alpha": [3.0], "m": [1]},
+                n=4,
+                seeds=(0,),
+                batch_mode="epoch",
+            )
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "poisson", "--batch-mode", "epoch"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --batch-mode" in capsys.readouterr().err
+
+
+class TestOAParity:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_segments_bitwise_identical(self, seed):
+        """OA's one replan loop (plain-set prefix execution) against the
+        from-scratch reference replan on the shapes the deleted epoch
+        loop was checked on."""
+        for family, n in [
+            (slotted_instance, 250),
+            (heavy_tail_instance, 120),
+            (diurnal_instance, 150),
+        ]:
+            inst = family(n, m=1, alpha=3.0, seed=seed)
+            _, fast = oa_segments(inst)
+            _, slow = oa_segments(inst, replan="reference")
+            assert fast == slow
+
+
 class TestRegimeGuards:
     """Each guard fails on one of the two regressions the driver design
     avoids: a scalar run that swallows the rest of a block, slot-mates
@@ -352,6 +405,17 @@ class TestEngineCacheIdentity:
         # it (3: the exact water-fill); a bump for an execution change
         # would cold-start every cache for nothing.
         assert RECORD_VERSION == 3
+
+    def test_request_key_pinned(self):
+        # Cells cached before PD had one driver keep answering: the key
+        # folds in only the algorithm, the instance and the versions.
+        inst = slotted_instance(30, slots=6, m=2, alpha=3.0, seed=1)
+        assert request_key("pd", inst) == (
+            "059d0ec06c73d6d269a206c6fccb3f211f808c6171bfd0df276802dbec6d7f72"
+        )
+        assert request_key("pd?delta=0.05", inst) == (
+            "9211ea395d77f63a5f9cba4df29d2a4656ac8ddae3bfe76956f9e9eb5a5a2b33"
+        )
 
     @pytest.mark.parametrize(
         "algorithm,module,name,twin",
