@@ -192,10 +192,12 @@ class PDScheduler:
         self._last_release = -np.inf
         #: Total arrivals so far.
         self._count = 0
-        #: Jobs and decisions, one chunk per run of arrivals: job columns
-        #: (release, deadline, workload, value arrays) and decision
-        #: columns (accepted, lam, speed, planned_work lists).
-        #: Materialized into Job/JobDecision objects in :meth:`finish`.
+        #: Jobs and decisions in chunks: job columns (release, deadline,
+        #: workload, value) and decision columns (accepted, lam, speed,
+        #: planned_work lists). A batched block stores its job columns as
+        #: the float arrays it read; scalar arrivals append to one open
+        #: chunk of plain lists. Materialized into Job/JobDecision
+        #: objects in :meth:`finish`.
         self._chunks: list[tuple] = []
         #: Job objects the caller handed in, by job id; :meth:`finish`
         #: reuses them (names included) instead of rebuilding from the
@@ -223,19 +225,19 @@ class PDScheduler:
             )
         job_id = self._count
         self._arrive_run(
-            *np.array(
-                [[job.release], [job.deadline], [job.workload], [job.value]],
-                dtype=np.float64,
-            )
+            [float(job.release)],
+            [float(job.deadline)],
+            [float(job.workload)],
+            [float(job.value)],
         )
         self._given[job_id] = job
         _, _, _, _, acc, lam, spd, pw = self._chunks[-1]
         return JobDecision(
             job_id=job_id,
-            accepted=acc[0],
-            lam=lam[0],
-            planned_speed=spd[0],
-            planned_work=pw[0],
+            accepted=acc[-1],
+            lam=lam[-1],
+            planned_speed=spd[-1],
+            planned_work=pw[-1],
         )
 
     def arrive_many(self, arrays) -> None:
@@ -251,92 +253,73 @@ class PDScheduler:
 
         arrive_epochs(self, arrays)
 
-    def _arrive_run(self, releases, deadlines, workloads, values, near=None) -> int:
+    def _arrive_run(self, releases, deadlines, workloads, values) -> int:
         """Run arrivals through the scalar path; return how many ran.
 
-        The columns are float arrays of equal length, already checked
-        for release order. Each arrival refines the grid, is priced by
-        :func:`~repro.core.waterfill.waterfill_job` against a
+        The columns are plain-float lists of equal length, already
+        checked for release order. Each arrival refines the grid, is
+        priced by :func:`~repro.core.waterfill.waterfill_job` against a
         :class:`~repro.perf.kernels.WindowKernel` of the live stores, and
         is committed. The run stops right after the first arrival that
         did not refine the grid (the grid has caught up, so the batched
-        path can take over) and before any later arrival flagged in
-        ``near`` (its window was on the grid already, so it cannot
-        refine it). Jobs and decisions land in one chunk.
+        path can take over). Jobs and decisions are appended to the open
+        list chunk, so consecutive runs (and :meth:`arrive` calls) share
+        one chunk.
         """
-        limit = len(releases)
-        if near is not None and limit > 1 and near[1:].any():
-            limit = 1 + int(np.argmax(near[1:]))
-        rl = releases[:limit].tolist()
-        dl = deadlines[:limit].tolist()
-        wl = workloads[:limit].tolist()
-        vl = values[:limit].tolist()
-        acc: list[bool] = []
-        lam: list[float] = []
-        spd: list[float] = []
-        pw: list[float] = []
-        base_id = self._count
+        chunks = self._chunks
+        if not chunks or type(chunks[-1][0]) is not list:
+            chunks.append(([], [], [], [], [], [], [], []))
+        rel_c, dl_c, wl_c, val_c, acc, lam, spd, pw = chunks[-1]
+        start = self._count
         m = self.m
         self._flush_suffixes()
-        try:
-            for t in range(limit):
-                release = rl[t]
-                deadline = dl[t]
-                if release > self._last_release:
-                    self._last_release = release
-                refined = self._refine_grid(release, deadline)
-                grid = self._grid
-                assert grid is not None
-                ks = grid.covering(release, deadline)
-                i0, j0 = ks.start, ks.stop
-                states = self._states
-                kernel = WindowKernel(
-                    states[i0:j0], grid.lengths[i0:j0].tolist(), m
-                )
-                outcome = waterfill_job(
-                    kernel,
-                    workload=wl[t],
-                    value=vl[t],
-                    delta=self.delta,
-                    power=self.power,
-                )
-                # Commit: sorted insertion into each interval's live store
-                # for an accept; either way the planned loads (``x̌``) are
-                # recorded. Exact zeros carry no information (the dense
-                # materialization is zero-initialized) and are skipped.
-                job_id = base_id + t
-                accepted = outcome.accepted
-                for offset, z in enumerate(outcome.loads.tolist()):
-                    if z == 0.0:
-                        continue
-                    k = i0 + offset
-                    if accepted:
-                        states[k].insert(job_id, z)
-                        self._stale_open.add(k)
-                    self._planned[k].append((job_id, z))
-                acc.append(accepted)
-                lam.append(outcome.lam)
-                spd.append(outcome.speed)
-                pw.append(outcome.planned_work)
-                if not refined:
-                    break
-        finally:
-            cnt = len(acc)
-            if cnt:
-                self._chunks.append(
-                    (
-                        releases[:cnt],
-                        deadlines[:cnt],
-                        workloads[:cnt],
-                        values[:cnt],
-                        acc,
-                        lam,
-                        spd,
-                        pw,
-                    )
-                )
-                self._count = base_id + cnt
-        return cnt
+        for release, deadline, workload, value in zip(
+            releases, deadlines, workloads, values
+        ):
+            if release > self._last_release:
+                self._last_release = release
+            refined = self._refine_grid(release, deadline)
+            states = self._states
+            grid = self._grid
+            assert grid is not None
+            ks = grid.covering(release, deadline)
+            i0, j0 = ks.start, ks.stop
+            kernel = WindowKernel(
+                states[i0:j0], grid.lengths[i0:j0].tolist(), m
+            )
+            outcome = waterfill_job(
+                kernel,
+                workload=workload,
+                value=value,
+                delta=self.delta,
+                power=self.power,
+            )
+            # Commit: sorted insertion into each interval's live store
+            # for an accept; either way the planned loads (``x̌``) are
+            # recorded. Exact zeros carry no information (the dense
+            # materialization is zero-initialized) and are skipped.
+            job_id = self._count
+            accepted = outcome.accepted
+            for offset, z in enumerate(outcome.loads.tolist()):
+                if z == 0.0:
+                    continue
+                k = i0 + offset
+                if accepted:
+                    states[k].insert(job_id, z)
+                    self._stale_open.add(k)
+                self._planned[k].append((job_id, z))
+            rel_c.append(release)
+            dl_c.append(deadline)
+            wl_c.append(workload)
+            val_c.append(value)
+            acc.append(accepted)
+            lam.append(outcome.lam)
+            spd.append(outcome.speed)
+            pw.append(outcome.planned_work)
+            self._count = job_id + 1
+            if not refined:
+                break
+        return self._count - start
 
     def _materialize(self) -> tuple[Instance, tuple[JobDecision, ...]]:
         """The (instance, decisions) pair, built from the chunks.
@@ -348,11 +331,12 @@ class PDScheduler:
         jobs: list[Job] = []
         given = self._given
         job_id = 0
-        for rel, dl, wl, val, acc, lam, spd, pw in self._chunks:
-            rel_l = rel.tolist()
-            dl_l = dl.tolist()
-            wl_l = wl.tolist()
-            val_l = val.tolist()
+        for rel_l, dl_l, wl_l, val_l, acc, lam, spd, pw in self._chunks:
+            if type(rel_l) is not list:  # a batched block's arrays
+                rel_l = rel_l.tolist()
+                dl_l = dl_l.tolist()
+                wl_l = wl_l.tolist()
+                val_l = val_l.tolist()
             for t in range(len(acc)):
                 decisions.append(
                     JobDecision(
@@ -569,6 +553,15 @@ def run_pd(instance: Instance, *, delta: float | None = None) -> PDResult:
     """
     ordered = instance.sorted_by_release()
     scheduler = PDScheduler(m=ordered.m, alpha=ordered.alpha, delta=delta)
+    return _run_ordered(scheduler, ordered)
+
+
+def _run_ordered(scheduler: PDScheduler, ordered: Instance) -> PDResult:
+    """Feed a release-ordered instance to a fresh scheduler and finish.
+
+    The columns go to :meth:`PDScheduler.arrive_many`; when the instance
+    already holds ``Job`` objects, the result reuses them.
+    """
     if "jobs" in ordered.__dict__:
         scheduler._given = dict(enumerate(ordered.jobs))
     scheduler.arrive_many(ordered.arrays)

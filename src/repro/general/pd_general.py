@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from ..chen.interval_power import interval_energy
-from ..core.pd import PDResult, PDScheduler
+from ..core.pd import PDResult, PDScheduler, _run_ordered
 from ..errors import InvalidParameterError
 from ..model.job import Instance
 from ..model.power import PowerFunction
@@ -131,7 +131,5 @@ def run_pd_general(
     scheduler = PDScheduler(
         m=ordered.m, alpha=ordered.alpha, delta=delta, power=power
     )
-    for job in ordered.jobs:
-        scheduler.arrive(job)
-    inner = scheduler.finish()
+    inner = _run_ordered(scheduler, ordered)
     return GeneralPDResult(inner=inner, power=power, delta=delta)

@@ -186,8 +186,15 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
         b = grid.boundaries
         ok = _near_boundary(b, r) & _near_boundary(b, d)
     if not ok[0]:
+        # Scalar run, cut before the first arrival already on the grid.
+        stop = hi
+        if ok[1:].any():
+            stop = lo + 1 + int(np.argmax(ok[1:]))
         return lo + sched._arrive_run(
-            r, d, arrays.workloads[lo:hi], arrays.values[lo:hi], ok
+            r[: stop - lo].tolist(),
+            d[: stop - lo].tolist(),
+            arrays.workloads[lo:stop].tolist(),
+            arrays.values[lo:stop].tolist(),
         )
     if not bool(ok.all()):
         hi = lo + int(np.argmin(ok))

@@ -17,6 +17,7 @@ equality, never tolerances — for any block length
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from repro.engine.runner import (
     request_key,
 )
 from repro.errors import InvalidParameterError
+from repro.general.pd_general import run_pd_general
+from repro.general.powers import SumPower
 from repro.io.cli import main as cli_main
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.job import Instance
@@ -130,10 +133,11 @@ def assert_state_matches_twin(
 
 
 def twin_fed(
-    arrays: JobArrays, m: int, upto: int | None = None
+    arrays: JobArrays, m: int, upto: int | None = None, **kwargs
 ) -> PDSchedulerReference:
-    """The dense twin fed the first ``upto`` jobs (all by default)."""
-    twin = PDSchedulerReference(m=m, alpha=3.0)
+    """The dense twin fed the first ``upto`` jobs (all by default);
+    ``kwargs`` go to its constructor (``delta``, ``power``)."""
+    twin = PDSchedulerReference(m=m, alpha=3.0, **kwargs)
     for i in range(arrays.n if upto is None else upto):
         twin.arrive(arrays.job(i))
     return twin
@@ -192,6 +196,55 @@ class TestTwinParity:
         for i in range(arrays.n):
             sched.arrive(arrays.job(i))
         twin = twin_fed(arrays, m=2)
+        assert_state_matches_twin(sched, twin)
+        assert sched.finish().decisions == twin.finish().decisions
+
+
+class TestCustomPowerParity:
+    """``run_pd_general`` drives the same ``arrive_many``. Settled blocks
+    take the batched path's custom-power branch: no vectorized price
+    cap, so every aligned job gets the exact zero-load confirmation."""
+
+    POWER = SumPower([1.0, 0.5], [3.0, 1.0])
+    DELTA = 3.0 ** (1.0 - 3.0)
+
+    def test_run_pd_general_bitwise_identical(self, epoch_size):
+        for inst in (
+            slotted_instance(400, slots=40, m=4, alpha=3.0, seed=6),
+            poisson_instance(120, m=2, alpha=3.0, seed=8),
+            tie_at_epoch_boundary(),
+        ):
+            new = run_pd_general(inst, self.POWER, delta=self.DELTA).inner
+            ordered = inst.sorted_by_release()
+            old = twin_fed(
+                ordered.arrays, ordered.m, delta=self.DELTA, power=self.POWER
+            ).finish()
+            assert np.array_equal(new.schedule.loads, old.schedule.loads)
+            assert np.array_equal(new.planned_loads, old.planned_loads)
+            assert np.array_equal(new.lambdas, old.lambdas)
+            assert new.decisions == old.decisions
+            assert new.schedule.instance.jobs == old.schedule.instance.jobs
+
+    def test_confirmation_decides_settled_arrivals(self, monkeypatch):
+        calls = [0]
+        for module in (pd_module, epochs):
+            original = module.waterfill_job
+
+            def counting(*args, _original=original, **kwargs):
+                calls[0] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "waterfill_job", counting)
+        n = 2000
+        inst = slotted_instance(n, slots=20, m=4, alpha=3.0, seed=0)
+        arrays = inst.sorted_by_release().arrays
+        sched = PDScheduler(
+            m=4, alpha=3.0, delta=self.DELTA, power=self.POWER
+        )
+        sched.arrive_many(arrays)
+        assert calls[0] < n / 2, f"{calls[0]} water-fills for {n} arrivals"
+        monkeypatch.undo()
+        twin = twin_fed(arrays, 4, delta=self.DELTA, power=self.POWER)
         assert_state_matches_twin(sched, twin)
         assert sched.finish().decisions == twin.finish().decisions
 
@@ -351,10 +404,12 @@ class TestOAParity:
 
 
 class TestRegimeGuards:
-    """Each guard fails on one of the two regressions the driver design
-    avoids: a scalar run that swallows the rest of a block, slot-mates
-    the screen could have decided included (screens ~5% here), and a
-    fresh block scan after every refining arrival (one block per job)."""
+    """Each guard fails on one of three measured regressions: a scalar
+    run that ignores the block-start nearness cut and swallows the rest
+    of the block, slot-mates the screen could have decided included
+    (screens ~5% here), a fresh block scan after every refining
+    arrival (one block per job), and an ``arrive()`` that stores a
+    numpy chunk per job (~1.4 KB per arrival here)."""
 
     def test_settled_input_screens_most_arrivals(self, monkeypatch):
         calls = [0]
@@ -396,6 +451,28 @@ class TestRegimeGuards:
         result = run_pd(inst)
         assert result.schedule.instance.n == n
         assert blocks[0] <= n / 8, f"{blocks[0]} blocks for {n} arrivals"
+
+    def test_arrive_loop_storage_per_job(self):
+        """Consecutive ``arrive()`` calls share one open list chunk: the
+        scheduler retains ~370 B per arrival here, the caller's ``Job``
+        (kept for ``finish()``) and the live stores included."""
+        n = 20_000
+        warm = 200
+        inst = slotted_instance(n, slots=50, m=4, alpha=3.0, seed=0)
+        arrays = inst.sorted_by_release().arrays
+        sched = PDScheduler(m=4, alpha=3.0)
+        for i in range(warm):
+            sched.arrive(arrays.job(i))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(warm, n):
+                sched.arrive(arrays.job(i))
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        per_job = grown / (n - warm)
+        assert per_job < 500, f"{per_job:.0f} B retained per arrival"
 
 
 class TestEngineCacheIdentity:
