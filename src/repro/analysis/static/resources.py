@@ -2,7 +2,8 @@
 
 Two resource disciplines hold the fabric together:
 
-* **Shared-memory segments** (``repro.engine.transport``): a function
+* **Shared-memory segments** (no module in ``src/`` uses them today;
+  the rules guard any future ``SharedMemory`` use): a function
   that *creates* a ``SharedMemory`` segment must close it and either
   unlink it or explicitly hand ownership over (the resource-tracker
   unregister dance); a function that *attaches* to one must close and

@@ -209,7 +209,7 @@ def _execute_plan_prefix(
 
 
 def oa_segments(
-    instance: Instance, *, replan: str = "incremental"
+    instance: Instance,
 ) -> tuple[Instance, list[tuple[int, float, float, float]]]:
     """Simulate OA and return ``(ordered_instance, executed_segments)``.
 
@@ -217,20 +217,16 @@ def oa_segments(
     large-scale callers (the bench harness) can consume the executed
     trajectory without materializing the dense schedule matrix.
 
-    ``replan="incremental"`` (default) generates each epoch's YDS plan
-    lazily and stops at the first critical interval past the next
-    arrival; ``replan="reference"`` is the historical from-scratch
-    replan (full YDS plan per epoch, via :func:`oa_plan`), retained for
-    differential testing. Identical output — bit for bit — either way.
+    Each epoch's YDS plan is generated lazily and stops at the first
+    critical interval past the next arrival. The historical from-scratch
+    replan (a full :func:`oa_plan` per epoch) is kept as
+    :func:`repro.perf.reference.oa_segments_reference`; the parity suite
+    asserts the two agree bit for bit.
     """
     if instance.m != 1:
         raise InvalidParameterError(
             f"run_oa is single-processor; instance has m={instance.m}. "
             "Use run_oa_multiprocessor for m > 1."
-        )
-    if replan not in ("incremental", "reference"):
-        raise InvalidParameterError(
-            f"replan must be 'incremental' or 'reference', got {replan!r}"
         )
     ordered = instance.sorted_by_release()
     n = ordered.n
@@ -261,28 +257,6 @@ def oa_segments(
             known_count += 1
         if not unfinished:
             continue
-        if replan == "reference":
-            plan = oa_plan(
-                now=t,
-                job_ids=list(range(known_count)),
-                remaining=remaining,
-                deadlines=deadlines,
-                alpha=ordered.alpha,
-            )
-            for job, a, b, speed in plan.segments:
-                if a >= t_next - _EPS:
-                    break
-                hi = min(b, t_next)
-                if hi <= a + _EPS:
-                    continue
-                executed.append((job, a, hi, speed))
-                remaining[job] -= (hi - a) * speed
-                if remaining[job] < 0.0:
-                    remaining[job] = 0.0
-                if remaining[job] <= _WORK_TOL:
-                    unfinished.discard(job)
-                    alive_pool.discard(job)
-            continue
         alive = []
         for j in sorted(alive_pool):
             if deadlines[j] > t + _EPS:
@@ -292,7 +266,7 @@ def oa_segments(
                 alive_pool.discard(j)
         if not alive:
             # Work remains but nothing is plannable — the exact state in
-            # which the reference path's oa_plan raises.
+            # which oa_plan (and so the reference replan) raises.
             raise InvalidParameterError("oa_plan called with no remaining work")
         _execute_plan_prefix(
             now=t,
@@ -308,17 +282,14 @@ def oa_segments(
     return ordered, executed
 
 
-def run_oa(instance: Instance, *, replan: str = "incremental") -> OAResult:
+def run_oa(instance: Instance) -> OAResult:
     """Simulate OA on a single-processor instance (all jobs are finished).
 
     Job values are ignored — OA predates the profitable model. The
     simulation advances from arrival epoch to arrival epoch, executing the
-    current plan's EDF segments in between. ``replan`` selects between
-    the incremental lazy-prefix planner (default) and the retained
-    historical from-scratch replan (``"reference"``); see
-    :func:`oa_segments`. The results are bit-identical either way.
+    current plan's EDF segments in between (see :func:`oa_segments`).
     """
-    ordered, executed = oa_segments(instance, replan=replan)
+    ordered, executed = oa_segments(instance)
     schedule = schedule_from_segments(
         ordered, executed, np.ones(ordered.n, dtype=bool)
     )

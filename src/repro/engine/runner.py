@@ -60,12 +60,6 @@ from ..io.serialize import (
 from ..model.job import Instance
 from .cache import CacheBackend, DirectoryCache
 from .registry import REGISTRY
-from .transport import (
-    TRANSPORTS,
-    decode_wire,
-    evaluate_request_wire,
-    resolve_transport,
-)
 
 __all__ = [
     "RunRequest",
@@ -760,15 +754,6 @@ class BatchRunner:
         :class:`~repro.engine.cache.CacheBackend` — e.g. a
         :class:`~repro.engine.cache.SqliteCache`. Hits skip evaluation
         entirely; backends are interchangeable bit for bit.
-    transport:
-        How worker processes return result payloads: ``"shm"`` ships
-        them through shared-memory segments (a constant-size ticket
-        crosses the result pipe instead of the multi-megabyte record),
-        ``"pickle"`` is the historical pipe transport, and ``"auto"``
-        (default) probes for shared-memory support and picks
-        accordingly. Irrelevant for ``workers=1``. Records are
-        byte-identical whichever transport carries them — see
-        :mod:`repro.engine.transport`.
     claim_batch:
         Positions leased per claim round trip on the stolen path
         (:meth:`iter_stolen`) — the ``k`` of the server's
@@ -785,7 +770,6 @@ class BatchRunner:
         *,
         workers: int = 1,
         cache: CacheBackend | str | Path | None = None,
-        transport: str = "auto",
         claim_batch: int | None = None,
     ) -> None:
         if not isinstance(workers, int) or workers < 1:
@@ -811,11 +795,6 @@ class BatchRunner:
                 f"cache must be a path or a CacheBackend, got {cache!r}"
             )
         self.cache = cache
-        if transport not in TRANSPORTS:
-            raise InvalidParameterError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
-        self.transport = transport
         self.stats = RunnerStats()
 
     def reset_stats(self) -> None:
@@ -925,17 +904,14 @@ class BatchRunner:
             for key, request in pending:
                 yield from deliver(key, evaluate_request(request))
         else:
-            transport = resolve_transport(self.transport)
             pool = ProcessPoolExecutor(max_workers=self.workers)
             try:
                 futures = {
-                    pool.submit(evaluate_request_wire, request, transport): key
+                    pool.submit(evaluate_request, request): key
                     for key, request in pending
                 }
                 for future in as_completed(futures):
-                    yield from deliver(
-                        futures[future], decode_wire(future.result())
-                    )
+                    yield from deliver(futures[future], future.result())
             finally:
                 # Reached on exhaustion, on a worker exception, and on
                 # GeneratorExit when the consumer abandons the stream
@@ -1181,7 +1157,6 @@ class BatchRunner:
                     flusher.close()
 
         batch = self.claim_batch or self.workers
-        transport = resolve_transport(self.transport)
         pool = ProcessPoolExecutor(max_workers=self.workers)
         in_flight: dict[Any, tuple[int, str]] = {}
         ready: deque[tuple[int, RunRequest, str, dict[str, Any] | None]] = (
@@ -1203,9 +1178,7 @@ class BatchRunner:
                         )
                     elif len(in_flight) < self.workers:
                         ready.popleft()
-                        future = pool.submit(
-                            evaluate_request_wire, request, transport
-                        )
+                        future = pool.submit(evaluate_request, request)
                         in_flight[future] = (position, key)
                     else:
                         break
@@ -1232,9 +1205,7 @@ class BatchRunner:
                     pairs = []
                     for future in done:
                         position, key = in_flight.pop(future)
-                        pairs.append(
-                            fresh(position, key, decode_wire(future.result()))
-                        )
+                        pairs.append(fresh(position, key, future.result()))
                         completed.add(position)
                     if report is not None:
                         # One done round trip per harvest, not per cell.

@@ -240,68 +240,6 @@ def _oa_stream_point(point: Mapping[str, Any]) -> dict:
     return {"n": n, "m": 1, "wall_time": wall, "cost": float(energy)}
 
 
-#: One evaluated record payload per size, shared across the repeat
-#: measurements of a transport point (the payload is identical every
-#: evaluation; rebuilding it would time PD, not the transport).
-_TRANSPORT_PAYLOADS: dict[int, dict] = {}
-
-
-def _transport_point(point: Mapping[str, Any]) -> dict:
-    """Record transport round trip: wire encode + decode, bytes and time.
-
-    ``bytes_per_record`` is what actually crosses the pool's result
-    pipe: the full pickled payload for the ``pickle`` transport, a
-    constant-size ticket for ``shm`` (the payload bytes travel through
-    a shared-memory segment instead).
-    """
-    import pickle
-
-    from ..engine import transport as tr
-    from ..engine.runner import RunRequest, evaluate_request
-    from ..workloads import slotted_instance
-
-    n = int(point["n"])
-    mode = str(point["transport"])
-    # Enough rounds that the point takes ~1s: a 0.1s point is pure
-    # scheduler noise when the smoke grid runs it right after a 13s
-    # PD scenario, and the 2x gate then flakes.
-    rounds = 25
-    payload = _TRANSPORT_PAYLOADS.get(n)
-    if payload is None:
-        instance = slotted_instance(n, slots=400, m=4, alpha=3.0, seed=0)
-        payload = evaluate_request(RunRequest("pd", instance))
-        _TRANSPORT_PAYLOADS[n] = payload
-
-    def exercise() -> dict:
-        out = payload
-        for _ in range(rounds):
-            # The pool's result queue pickles whatever wire it carries —
-            # simulate that hop so the pickle wire doesn't measure as an
-            # in-process no-op.
-            wire = tr.encode_payload(payload, mode)
-            piped = pickle.loads(
-                pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            out = tr.decode_wire(piped)
-        return out
-
-    wall, out = _timed(exercise)
-    if out["cost"] != payload["cost"]:  # pragma: no cover - parity guard
-        raise AssertionError("transport round trip altered the record")
-    wire = tr.encode_payload(payload, mode)
-    nbytes = tr.wire_bytes(wire)
-    if wire[0] == "shm":
-        tr.decode_wire(wire)  # attach-and-unlink releases the segment
-    return {
-        "n": n,
-        "m": 4,
-        "transport": mode,
-        "rounds": rounds,
-        "wall_time": wall,
-        "bytes_per_record": nbytes,
-    }
-
-
 def _fabric_point(point: Mapping[str, Any]) -> dict:
     """HTTP cache fabric throughput against a live in-process server.
 
@@ -522,13 +460,6 @@ SCENARIOS: dict[str, BenchScenario] = {
                 size=[4096],
             ),
             run_point=_fabric_point,
-        ),
-        BenchScenario(
-            name="transport-micro",
-            summary="micro: record wire round trip, pickle vs shared memory",
-            full=_points(n=[10_000], transport=["pickle", "shm"]),
-            smoke=_points(n=[10_000], transport=["pickle", "shm"]),
-            run_point=_transport_point,
         ),
     )
 }

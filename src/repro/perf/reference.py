@@ -21,9 +21,14 @@ import numpy as np
 
 from ..chen.interval_power import SortedLoads
 from ..chen.scheduler import IntervalSchedule, schedule_interval
+from ..classical.oa import _EPS as _OA_EPS
+from ..classical.oa import _WORK_TOL as _OA_WORK_TOL
+from ..classical.oa import oa_plan
+from ..classical.timeline import IntervalSet
+from ..classical.yds import _EPS as _YDS_EPS
 from ..core.pd import JobDecision, PDResult
 from ..core.waterfill import _WORK_TOL, WaterfillOutcome, waterfill_job
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, SolverError
 from ..model.intervals import Grid, Refinement
 from ..model.job import Instance, Job
 from ..model.power import PolynomialPower, PowerFunction
@@ -33,6 +38,7 @@ from ..types import FloatArray
 __all__ = [
     "PARITY_PAIRS",
     "PDSchedulerReference",
+    "oa_segments_reference",
     "realize_reference",
     "run_pd_reference",
     "schedule_energy_reference",
@@ -407,3 +413,99 @@ def waterfill_job_reference(
     return WaterfillOutcome(
         accepted=True, lam=lam, speed=s, loads=loads, planned_work=placed
     )
+
+
+def _critical_window_reference(
+    instance: Instance, remaining: set, events: list, frozen: IntervalSet
+) -> tuple[float, float, float, list[int]]:
+    """The historical literal YDS critical-window scan (O(E^2 · n)).
+
+    Replaced by the prefix-workload scan
+    :func:`repro.classical.yds._critical_window` (same signature); kept
+    for differential testing of it — the parity tests monkeypatch it in
+    place of the fast scan and run :func:`repro.classical.yds.yds`.
+    """
+    eps = _YDS_EPS
+    best: tuple[float, float, float, list[int]] | None = None
+    for ai in range(len(events)):
+        for bi in range(ai + 1, len(events)):
+            a, b = events[ai], events[bi]
+            inside = [
+                j
+                for j in remaining
+                if instance[j].release >= a - eps
+                and instance[j].deadline <= b + eps
+            ]
+            if not inside:
+                continue
+            avail = (b - a) - frozen.measure_within(a, b)
+            if avail <= eps:
+                raise SolverError(
+                    f"no available time left in candidate window [{a}, {b}] "
+                    "yet jobs remain — inconsistent frozen state"
+                )
+            g = sum(instance[j].workload for j in inside) / avail
+            if best is None or g > best[0] + eps:
+                best = (g, a, b, inside)
+    if best is None:  # pragma: no cover - remaining non-empty implies a window
+        raise SolverError("no critical window found")
+    return best
+
+
+def oa_segments_reference(
+    instance: Instance,
+) -> tuple[Instance, list[tuple[int, float, float, float]]]:
+    """The historical from-scratch OA replan.
+
+    Every arrival epoch re-plans all remaining work with a full YDS plan
+    (:func:`repro.classical.oa.oa_plan`) and executes it up to the next
+    arrival. Replaced by the lazy-prefix replanner of
+    :func:`repro.classical.oa.oa_segments` (same signature and output);
+    kept for differential testing of it.
+    """
+    eps, work_tol = _OA_EPS, _OA_WORK_TOL
+    if instance.m != 1:
+        raise InvalidParameterError(
+            f"run_oa is single-processor; instance has m={instance.m}. "
+            "Use run_oa_multiprocessor for m > 1."
+        )
+    ordered = instance.sorted_by_release()
+    n = ordered.n
+    releases = ordered.releases
+    epochs = sorted(set(releases.tolist()))
+    horizon_end = float(ordered.deadlines.max()) if n else 0.0
+
+    remaining = dict(enumerate(ordered.workloads.tolist()))
+    deadlines = dict(enumerate(ordered.deadlines.tolist()))
+    executed: list[tuple[int, float, float, float]] = []
+    known_count = 0
+    unfinished: set[int] = set()
+
+    for idx, t in enumerate(epochs):
+        t_next = epochs[idx + 1] if idx + 1 < len(epochs) else horizon_end
+        while known_count < n and releases[known_count] <= t + eps:
+            if remaining[known_count] > work_tol:
+                unfinished.add(known_count)
+            known_count += 1
+        if not unfinished:
+            continue
+        plan = oa_plan(
+            now=t,
+            job_ids=list(range(known_count)),
+            remaining=remaining,
+            deadlines=deadlines,
+            alpha=ordered.alpha,
+        )
+        for job, a, b, speed in plan.segments:
+            if a >= t_next - eps:
+                break
+            hi = min(b, t_next)
+            if hi <= a + eps:
+                continue
+            executed.append((job, a, hi, speed))
+            remaining[job] -= (hi - a) * speed
+            if remaining[job] < 0.0:
+                remaining[job] = 0.0
+            if remaining[job] <= work_tol:
+                unfinished.discard(job)
+    return ordered, executed

@@ -65,6 +65,11 @@ def diurnal_instance(
         raise InvalidParameterError(f"need n >= 1, got {n}")
     if not (0.0 <= interactive_fraction <= 1.0):
         raise InvalidParameterError("interactive_fraction must be in [0, 1]")
+    for name, positive in (("day", day), ("base_rate", base_rate)):
+        if not 0.0 < positive < math.inf:
+            raise InvalidParameterError(
+                f"{name} must be finite and > 0, got {positive!r}"
+            )
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
 
     # Thinning: sample candidate arrival times against the diurnal curve.

@@ -13,6 +13,8 @@ here, so experiment E2 can plot measured against analytic values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidParameterError
@@ -37,6 +39,12 @@ def lower_bound_instance(n: int, alpha: float, *, value: float = _SAFE_VALUE) ->
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1 jobs, got {n}")
+    if not (alpha > 1.0 and math.isfinite(alpha)):
+        # The Instance checks alpha too, but the workloads below divide
+        # by it first.
+        raise InvalidParameterError(
+            f"energy exponent alpha must be a finite number > 1, got {alpha!r}"
+        )
     jobs = tuple(
         Job(
             release=float(j - 1),

@@ -10,6 +10,8 @@ scale makes instances trivially all-accept or all-reject.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidParameterError
@@ -71,6 +73,15 @@ def poisson_instance(
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    if not 0.0 < arrival_rate < math.inf:
+        raise InvalidParameterError(
+            f"arrival_rate must be finite and > 0, got {arrival_rate!r}"
+        )
+    for name, mean in (("mean_span", mean_span), ("mean_workload", mean_workload)):
+        if not 0.0 <= mean < math.inf:
+            raise InvalidParameterError(
+                f"{name} must be finite and >= 0, got {mean!r}"
+            )
     rng = _rng(seed)
     gaps = rng.exponential(1.0 / arrival_rate, size=n)
     releases = np.cumsum(gaps) - gaps[0]
@@ -106,6 +117,15 @@ def heavy_tail_instance(
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    if not 0.0 < pareto_shape < math.inf:
+        raise InvalidParameterError(
+            f"pareto_shape must be finite and > 0, got {pareto_shape!r}"
+        )
+    if not (0.2 * horizon >= 0.5 and horizon < math.inf):
+        raise InvalidParameterError(
+            "horizon must be finite and >= 2.5 (window spans are drawn "
+            f"from [0.5, 0.2 * horizon]), got {horizon!r}"
+        )
     rng = _rng(seed)
     releases = np.sort(rng.uniform(0.0, horizon, size=n))
     spans = rng.uniform(0.5, 0.2 * horizon, size=n)
@@ -134,6 +154,11 @@ def uniform_instance(
     """Everything uniform: the bland control family."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    if not (horizon * 0.3 >= 0.2 and horizon < math.inf):
+        raise InvalidParameterError(
+            "horizon must be finite and >= 2/3 (window spans are drawn "
+            f"from [0.2, 0.3 * horizon]), got {horizon!r}"
+        )
     rng = _rng(seed)
     releases = rng.uniform(0.0, horizon * 0.8, size=n)
     spans = rng.uniform(0.2, horizon * 0.3, size=n)

@@ -17,6 +17,8 @@ them, so the test- and benchmark-suites sweep all of these:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidParameterError
@@ -211,6 +213,10 @@ def bursty_instance(
     if spike_period < 2:
         raise InvalidParameterError(
             f"spike_period must be >= 2, got {spike_period}"
+        )
+    if not 0.0 < base_span < math.inf:
+        raise InvalidParameterError(
+            f"base_span must be finite and > 0, got {base_span!r}"
         )
     rng = _rng(seed)
     rows = []

@@ -23,10 +23,26 @@ from repro.engine import (
     RunRequest,
     run_experiment,
 )
-from repro.engine.runner import request_key
+from repro.engine.runner import record_to_payload, request_key
 from repro.errors import InvalidParameterError
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.workloads import poisson_instance
+
+
+def _canonical(record) -> dict:
+    """A record's payload minus measurement and delivery provenance.
+
+    ``wall_time`` is a measurement, ``cached`` says how the bytes were
+    delivered, and NaN compares unequal to itself; none of them is
+    record content.
+    """
+    out = record_to_payload(record)
+    out.pop("wall_time", None)
+    out.pop("cached", None)
+    for key in ("certified_ratio", "dual_g"):
+        if isinstance(out.get(key), float) and math.isnan(out[key]):
+            out[key] = "NaN"
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +105,12 @@ class TestBatchParity:
         assert [r.algorithm for r in serial] == [r.algorithm for r in parallel]
         assert [r.cost for r in serial] == [r.cost for r in parallel]
         assert [r.schedule for r in serial] == [r.schedule for r in parallel]
+        # Whole records, as the cache stores them: only the measured
+        # wall time may differ between the in-process and pooled paths.
+        assert [r.key for r in serial] == [r.key for r in parallel]
+        assert [_canonical(r) for r in serial] == [
+            _canonical(r) for r in parallel
+        ]
 
 
 class TestCache:

@@ -26,10 +26,12 @@ import repro.classical.oa as oa_module
 import repro.core.pd as pd_module
 import repro.perf.epochs as epochs
 from repro.classical.oa import oa_segments, run_oa
+from repro.classical.yds import yds
 from repro.core.pd import PDScheduler, run_pd
 from repro.engine.experiment import ExperimentSpec
 from repro.engine.runner import (
     RECORD_VERSION,
+    BatchRunner,
     RunRequest,
     evaluate_request,
     request_key,
@@ -42,7 +44,11 @@ from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.job import Instance
 from repro.model.job_arrays import JobArrays
 from repro.perf.epochs import DEFAULT_EPOCH_SIZE, arrive_epochs
-from repro.perf.reference import PDSchedulerReference, run_pd_reference
+from repro.perf.reference import (
+    PDSchedulerReference,
+    oa_segments_reference,
+    run_pd_reference,
+)
 from repro.workloads import (
     diurnal_instance,
     heavy_tail_instance,
@@ -385,6 +391,20 @@ class TestEpochErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments: --batch-mode" in capsys.readouterr().err
 
+    def test_removed_selector_knobs_are_rejected(self):
+        """The result-wire and reference-twin selectors are gone too:
+        the twins live in ``repro.perf.reference``, and pooled results
+        always travel through the pool's own pipe."""
+        inst = slotted_instance(10, slots=4, m=1, alpha=3.0, seed=0)
+        with pytest.raises(TypeError):
+            BatchRunner(workers=2, transport="pickle")
+        with pytest.raises(TypeError):
+            oa_segments(inst, replan="reference")
+        with pytest.raises(TypeError):
+            run_oa(inst, replan="reference")
+        with pytest.raises(TypeError):
+            yds(inst, scan="reference")
+
 
 class TestOAParity:
     @pytest.mark.parametrize("seed", [0, 7])
@@ -399,7 +419,7 @@ class TestOAParity:
         ]:
             inst = family(n, m=1, alpha=3.0, seed=seed)
             _, fast = oa_segments(inst)
-            _, slow = oa_segments(inst, replan="reference")
+            _, slow = oa_segments_reference(inst)
             assert fast == slow
 
 
@@ -498,7 +518,7 @@ class TestEngineCacheIdentity:
         "algorithm,module,name,twin",
         [
             ("pd", pd_module, "run_pd", run_pd_reference),
-            ("oa", oa_module, "run_oa", functools.partial(run_oa, replan="reference")),
+            ("oa", oa_module, "oa_segments", oa_segments_reference),
         ],
     )
     def test_evaluate_request_payload_identical(

@@ -16,6 +16,7 @@ invariants").
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.certificates import dual_certificate
 from repro.chen.interval_power import SortedLoads
-from repro.classical.oa import run_oa
+import repro.classical.oa as oa_module
+from repro.classical.oa import oa_segments, run_oa
 from repro.classical.yds import yds
 from repro.core.pd import run_pd
 from repro.core.waterfill import _WORK_TOL, waterfill_job, window_breakpoints
@@ -34,12 +36,21 @@ from repro.model.intervals import Grid
 from repro.model.job import Instance
 from repro.model.power import PolynomialPower
 from repro.perf.kernels import IntervalLoads, WindowKernel
-from repro.perf.reference import run_pd_reference, waterfill_job_reference
+from repro.perf.reference import (
+    _critical_window_reference,
+    oa_segments_reference,
+    run_pd_reference,
+    waterfill_job_reference,
+)
 from repro.workloads import (
     heavy_tail_instance,
     poisson_instance,
     uniform_instance,
 )
+
+# ``repro.classical`` re-exports the function ``yds``, which shadows the
+# submodule of the same name as a package attribute.
+yds_module = importlib.import_module("repro.classical.yds")
 
 #: (family, n, m) — includes multiprocessor and heavy-tail shapes.
 FAMILIES = [
@@ -386,21 +397,35 @@ class TestYdsOaParity:
             alpha=3.0,
         )
 
+    def yds_reference(self, inst, monkeypatch):
+        """YDS with its critical-window scan swapped for the literal one."""
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                yds_module, "_critical_window", _critical_window_reference
+            )
+            return yds(inst)
+
+    def run_oa_reference(self, inst, monkeypatch):
+        """``run_oa`` on the from-scratch replan instead of the lazy one."""
+        with monkeypatch.context() as patch:
+            patch.setattr(oa_module, "oa_segments", oa_segments_reference)
+            return run_oa(inst)
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
         "family", [poisson_instance, uniform_instance, heavy_tail_instance]
     )
-    def test_yds_fast_scan_equals_reference(self, seed, family):
+    def test_yds_fast_scan_equals_reference(self, seed, family, monkeypatch):
         inst = self.classical(18, seed, family)
         fast = yds(inst)
-        slow = yds(inst, scan="reference")
+        slow = self.yds_reference(inst, monkeypatch)
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
         assert np.array_equal(fast.job_speeds, slow.job_speeds)
         assert fast.groups == slow.groups
         assert fast.segments == slow.segments
         assert fast.energy == slow.energy
 
-    def test_yds_exact_intensity_ties(self):
+    def test_yds_exact_intensity_ties(self, monkeypatch):
         """Symmetric windows with exactly equal critical intensities:
         the fast scan must keep the reference's first-wins tie rule."""
         inst = Instance.classical(
@@ -414,11 +439,11 @@ class TestYdsOaParity:
             m=1,
             alpha=3.0,
         )
-        fast, slow = yds(inst), yds(inst, scan="reference")
+        fast, slow = yds(inst), self.yds_reference(inst, monkeypatch)
         assert fast.groups == slow.groups
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
 
-    def test_yds_fully_frozen_windows_are_not_misread(self):
+    def test_yds_fully_frozen_windows_are_not_misread(self, monkeypatch):
         """Laminar (nested-window) instances freeze whole sub-windows in
         early rounds; removal dust in the float workload buckets must
         not make an emptied, fully-frozen window look occupied (which
@@ -435,14 +460,9 @@ class TestYdsOaParity:
             m=1,
             alpha=3.0,
         )
-        fast, slow = yds(inst), yds(inst, scan="reference")
+        fast, slow = yds(inst), self.yds_reference(inst, monkeypatch)
         assert fast.groups == slow.groups
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
-
-    def test_yds_rejects_unknown_scan(self):
-        inst = self.classical(4, 0)
-        with pytest.raises(Exception, match="scan"):
-            yds(inst, scan="turbo")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_oa_on_reference_plans_is_unchanged(self, seed, monkeypatch):
@@ -450,15 +470,12 @@ class TestYdsOaParity:
         replanner (default) vs the historical from-scratch replan, with
         the latter's YDS plans additionally pinned to the reference
         scan. Not one executed segment may differ across the stack."""
-        import repro.classical.oa as oa_module
-
         inst = self.classical(24, seed)
         fast = run_oa(inst)
-        original = oa_module.yds
         monkeypatch.setattr(
-            oa_module, "yds", lambda sub: original(sub, scan="reference")
+            yds_module, "_critical_window", _critical_window_reference
         )
-        slow = run_oa(inst, replan="reference")
+        slow = self.run_oa_reference(inst, monkeypatch)
         assert fast.segments == slow.segments
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
         assert fast.energy == slow.energy
@@ -467,18 +484,18 @@ class TestYdsOaParity:
     @pytest.mark.parametrize(
         "family", [poisson_instance, uniform_instance, heavy_tail_instance]
     )
-    def test_oa_incremental_replan_equals_reference(self, seed, family):
+    def test_oa_incremental_replan_equals_reference(
+        self, seed, family, monkeypatch
+    ):
         """The incremental OA replanner (lazy YDS prefix per epoch) must
         reproduce the from-scratch replan bit for bit on every existing
         differential case."""
-        from repro.classical.oa import oa_segments
-
         inst = self.classical(18, seed, family)
-        ordered_inc, exec_inc = oa_segments(inst, replan="incremental")
-        ordered_ref, exec_ref = oa_segments(inst, replan="reference")
+        _, exec_inc = oa_segments(inst)
+        _, exec_ref = oa_segments_reference(inst)
         assert exec_inc == exec_ref
         fast = run_oa(inst)
-        slow = run_oa(inst, replan="reference")
+        slow = self.run_oa_reference(inst, monkeypatch)
         assert fast.segments == slow.segments
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
         assert fast.schedule.grid.same_as(slow.schedule.grid)
@@ -490,18 +507,12 @@ class TestYdsOaParity:
     def test_oa_incremental_slotted_ties(self):
         """Slotted instances maximize release ties and epoch reuse — the
         shape the incremental replanner is built for."""
-        from repro.classical.oa import oa_segments
         from repro.workloads import slotted_instance
 
         inst = slotted_instance(300, slots=60, m=1, alpha=3.0, seed=3)
-        _, exec_inc = oa_segments(inst, replan="incremental")
-        _, exec_ref = oa_segments(inst, replan="reference")
+        _, exec_inc = oa_segments(inst)
+        _, exec_ref = oa_segments_reference(inst)
         assert exec_inc == exec_ref
-
-    def test_oa_rejects_unknown_replan(self):
-        inst = self.classical(4, 0)
-        with pytest.raises(Exception, match="replan"):
-            run_oa(inst, replan="turbo")
 
 
 class TestBatchedEnergyParity:

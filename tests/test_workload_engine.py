@@ -124,6 +124,40 @@ class TestWorkloadRegistry:
                 WORKLOADS.info(bad)
         assert "poisson?n=8" in WORKLOADS and "poisson?gamma=1" not in WORKLOADS
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "diurnal?day=0",
+            "diurnal?base_rate=0",
+            "diurnal?base_rate=-1",
+            "poisson?arrival_rate=0",
+            "poisson?arrival_rate=-1",
+            "poisson?mean_span=-1",
+            "poisson?mean_workload=-1",
+            "uniform?horizon=0",
+            "uniform?horizon=-1",
+            "uniform?horizon=nan",
+            "uniform?horizon=inf",
+            "heavy-tail?pareto_shape=0",
+            "heavy-tail?pareto_shape=-1",
+            "heavy-tail?horizon=0",
+            "heavy-tail?horizon=-1",
+            "heavy-tail?horizon=nan",
+            "heavy-tail?horizon=inf",
+            "bursty?base_span=-1",
+            "bursty?base_span=nan",
+            "bursty?base_span=inf",
+            "lowerbound?alpha=0",
+        ],
+    )
+    def test_out_of_range_family_knobs_raise_typed(self, spec):
+        """Generator knobs that would divide by zero or hand numpy an
+        empty or non-finite sampling range fail with the library's own
+        error, naming the knob, before any job is drawn."""
+        knob = spec.split("?")[1].split("=")[0]
+        with pytest.raises(InvalidParameterError, match=knob):
+            WORKLOADS.build(spec, 8, seed=0)
+
     def test_pinned_params_clash_with_call_site_kwargs(self):
         info = WORKLOADS.info("poisson?alpha=2.0")
         with pytest.raises(InvalidParameterError, match="pinned"):
