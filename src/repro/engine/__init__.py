@@ -11,8 +11,8 @@ Three layers, each usable on its own:
   (algorithm × instance) grids (``iter_records`` yields in completion
   order; ``run`` collects in request order) serially or on a process
   pool, with a content-addressed on-disk :class:`ResultCache`, per-cell
-  measured wall times, and a cost-aware shard scheduler
-  (:func:`shard_assignment` round-robin or LPT);
+  measured wall times, and round-robin sharding (:func:`shard_requests`,
+  :func:`merge_shards`);
 * :mod:`repro.engine.experiment` — :class:`ExperimentSpec`, the
   declarative parameter-grid form (grid, variant, and workload axes)
   that compiles down to batch requests.
@@ -73,7 +73,6 @@ from .runner import (
     record_from_payload,
     record_to_payload,
     request_key,
-    shard_assignment,
     shard_requests,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "RunRequest",
     "request_key",
     "evaluate_request",
-    "shard_assignment",
     "shard_requests",
     "merge_shards",
     "record_to_payload",

@@ -13,8 +13,7 @@ Four backends ship with the library, behind the common
 * :class:`DirectoryCache` — one ``<sha256>.json`` file per entry under a
   directory. No index, no eviction, no locking beyond atomic-rename
   writes; ``rm -r`` of the directory is always a safe reset. This is
-  the historical backend (``ResultCache`` remains its alias). A compact
-  per-key ``.timing`` sidecar makes cost estimation a metadata read.
+  the historical backend (``ResultCache`` remains its alias).
 * :class:`SqliteCache` — a single-file SQLite database in WAL mode,
   friendlier to filesystems that hate directories with tens of
   thousands of small files, and safe under concurrent writers (content
@@ -36,15 +35,15 @@ BatchRunner` is given.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sqlite3
 import tempfile
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..errors import InvalidParameterError
 
@@ -69,21 +68,9 @@ _TMP_PREFIX = ".tmp-"
 #: generous threshold keeps the init-time sweep from racing them.
 _TMP_STALE_SECONDS = 3600.0
 
-#: Suffix of a :class:`DirectoryCache` entry's timing sidecar — a file
-#: holding nothing but ``repr(wall_time)``, so cost estimation over a
-#: large cache reads a few bytes per key instead of parsing payloads
-#: whose serialized schedules dominate the bytes.
-_TIMING_SUFFIX = ".timing"
-
-
-def _finite_timing(payload: Mapping[str, Any] | None) -> float | None:
-    """The payload's measured ``wall_time``, or ``None`` if unusable."""
-    if payload is None:
-        return None
-    timing = payload.get("wall_time")
-    if isinstance(timing, (int, float)) and math.isfinite(timing):
-        return float(timing)
-    return None
+#: Suffix of the per-entry timing sidecars older builds wrote next to
+#: each ``<key>.json``. Nothing reads them any more; ``gc`` deletes them.
+_LEGACY_TIMING_SUFFIX = ".timing"
 
 
 @runtime_checkable
@@ -152,9 +139,6 @@ class DirectoryCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def _timing_path(self, key: str) -> Path:
-        return self.directory / f"{key}{_TIMING_SUFFIX}"
-
     def _atomic_write(self, path: Path, text: str) -> None:
         """Write-then-rename, retried if a racing cleaner steals the temp
         file — content addressing makes the whole operation idempotent,
@@ -194,50 +178,12 @@ class DirectoryCache:
             return None
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Store ``payload`` under ``key`` (atomic write-then-rename).
-
-        A payload carrying a finite measured ``wall_time`` also writes
-        its ``.timing`` sidecar, so the LPT/steal cost model reads one
-        small file per key instead of parsing the full payload.
-        """
+        """Store ``payload`` under ``key`` (atomic write-then-rename)."""
         self._atomic_write(self._path(key), json.dumps(payload))
-        timing = _finite_timing(payload)
-        if timing is not None:
-            self._atomic_write(self._timing_path(key), repr(timing))
-
-    def get_timing(self, key: str) -> float | None:
-        """The stored ``wall_time`` of one entry, payload left unparsed.
-
-        The fast path for :meth:`~repro.engine.runner.BatchRunner.
-        estimate_costs`: a few bytes from the ``.timing`` sidecar.
-        Entries written by a pre-sidecar build fall back to a full
-        payload read and lazily backfill their sidecar, so a warmed old
-        cache converges to O(keys) metadata reads. A miss (or an entry
-        with no usable timing) is ``None``.
-        """
-        try:
-            return float(self._timing_path(key).read_text())
-        except FileNotFoundError:
-            pass
-        except (ValueError, OSError):
-            pass  # unreadable sidecar: recover it from the payload below
-        timing = _finite_timing(self.get(key))
-        if timing is not None:
-            try:
-                self._atomic_write(self._timing_path(key), repr(timing))
-            except OSError:
-                pass  # backfill is an optimization, never a failure
-        return timing
 
     def stats(self) -> dict[str, Any]:
-        """Backend, entry count, payload bytes, and timing-index coverage.
-
-        ``timed_entries`` counts sidecar files only — pre-sidecar
-        entries whose payloads do carry a timing are excluded until a
-        ``get_timing`` backfills them; counting them would require the
-        full payload parse this index exists to avoid.
-        """
-        entries = total_bytes = timed = 0
+        """Backend, entry count, and payload bytes."""
+        entries = total_bytes = 0
         for path in self.directory.glob("*.json"):
             if path.name.startswith(_TMP_PREFIX):
                 continue
@@ -246,23 +192,19 @@ class DirectoryCache:
             except OSError:
                 continue  # deleted under us: not an entry anymore
             entries += 1
-            if self._timing_path(path.stem).exists():
-                timed += 1
         return {
             "backend": "dir",
             "location": str(self.directory),
             "entries": entries,
             "total_bytes": total_bytes,
-            "timed_entries": timed,
         }
 
     def gc(self, older_than: float) -> int:
         """Prune entries not modified in ``older_than`` seconds.
 
-        Removes each stale entry with its timing sidecar, stale
-        ``.tmp-*`` leftovers past the cutoff, and orphaned sidecars
-        whose entry is already gone. Returns the number of *entries*
-        pruned.
+        Removes each stale entry, stale ``.tmp-*`` leftovers past the
+        cutoff, and every timing sidecar an older build left behind.
+        Returns the number of *entries* pruned.
         """
         cutoff = time.time() - float(older_than)
         removed = 0
@@ -278,11 +220,9 @@ class DirectoryCache:
                 continue
             if name.endswith(".json") and stale:
                 path.unlink(missing_ok=True)
-                self._timing_path(path.stem).unlink(missing_ok=True)
                 removed += 1
-            elif name.endswith(_TIMING_SUFFIX):
-                if not self._path(name[: -len(_TIMING_SUFFIX)]).exists():
-                    path.unlink(missing_ok=True)
+            elif name.endswith(_LEGACY_TIMING_SUFFIX):
+                path.unlink(missing_ok=True)
         return removed
 
     def keys(self) -> Iterator[str]:
@@ -319,28 +259,27 @@ ResultCache = DirectoryCache
 class SqliteCache:
     """A single-file SQLite backend (WAL mode, concurrent-writer safe).
 
-    One table, ``entries(key TEXT PRIMARY KEY, payload TEXT, wall_time
-    REAL, created_at REAL)``. Writes use ``INSERT OR REPLACE`` inside an
-    implicit transaction; WAL mode plus a generous busy timeout lets
-    several runner processes share the file, and content addressing
-    means the worst a race can do is store the same bytes twice. A write
-    that still loses the lock race (``SQLITE_BUSY`` surviving the busy
-    timeout — seen with many processes hammering one file) is retried
-    with bounded exponential backoff instead of surfacing
-    ``sqlite3.OperationalError`` mid-sweep.
+    One table, ``entries(key TEXT PRIMARY KEY, payload TEXT, created_at
+    REAL)``. (Databases written by older builds also carry a
+    ``wall_time REAL`` column; it is left in place and never read.)
+    Writes use ``INSERT OR REPLACE`` inside an implicit transaction;
+    WAL mode plus a generous busy timeout lets several runner processes
+    share the file, and content addressing means the worst a race can
+    do is store the same bytes twice. A write that still loses the lock
+    race (``SQLITE_BUSY`` surviving the busy timeout — seen with many
+    processes hammering one file) is retried with bounded exponential
+    backoff instead of surfacing ``sqlite3.OperationalError`` mid-sweep.
 
-    Connections are per-process (reopened after fork) but *not*
-    per-thread: ``check_same_thread=False`` so a serving layer like
-    :class:`repro.io.server.CacheServer` — which serializes every
-    backend call behind one lock — can run handler threads. Callers
-    sharing one instance across threads must serialize access the same
-    way.
+    Connections are per-process (reopened after fork) and shared by the
+    process's threads: ``check_same_thread=False``, with an internal
+    lock held around every use of the connection, so two threads never
+    interleave statements or transactions on it.
     """
 
-    #: One shared connection, no internal mutex: a serving layer must
-    #: keep serializing calls (the striped server collapses to a single
-    #: stripe over this backend).
-    thread_safe = False
+    #: Every connection use holds the internal lock, so handler threads
+    #: of the striped :class:`~repro.io.server.CacheServer` (or a steal
+    #: worker's background put batcher) may share one instance.
+    thread_safe = True
 
     #: Bounded backoff for writes that lose the WAL lock race: attempt
     #: ``i`` sleeps ``_BUSY_BASE_DELAY * 2**i`` seconds before retrying,
@@ -353,36 +292,47 @@ class SqliteCache:
         if self.path.parent:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._timeout = timeout
+        self._lock = threading.RLock()
         self._conn: sqlite3.Connection | None = None
         self._pid = -1
         self._connect()  # fail loudly now if the path is unusable
 
     def _connect(self) -> sqlite3.Connection:
-        # Reopen after fork: SQLite connections must not cross processes
-        # (worker pools fork the parent mid-life).
-        if self._conn is None or self._pid != os.getpid():
-            conn = sqlite3.connect(
-                self.path, timeout=self._timeout, check_same_thread=False
-            )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                "key TEXT PRIMARY KEY, payload TEXT NOT NULL, "
-                "wall_time REAL, created_at REAL)"
-            )
-            for column in ("wall_time REAL", "created_at REAL"):
+        """This process's connection, opened on first use (callers that
+        go on to use it hold the lock through :meth:`_connection`)."""
+        with self._lock:
+            # Reopen after fork: SQLite connections must not cross
+            # processes (worker pools fork the parent mid-life).
+            if self._conn is None or self._pid != os.getpid():
+                conn = sqlite3.connect(
+                    self.path, timeout=self._timeout, check_same_thread=False
+                )
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS entries ("
+                    "key TEXT PRIMARY KEY, payload TEXT NOT NULL, "
+                    "created_at REAL)"
+                )
                 try:
                     # Migrate older databases in place; the duplicate-
                     # column error on current ones is the cheap
                     # existence probe.
-                    conn.execute(f"ALTER TABLE entries ADD COLUMN {column}")
+                    conn.execute(
+                        "ALTER TABLE entries ADD COLUMN created_at REAL"
+                    )
                 except sqlite3.OperationalError:
                     pass
-            conn.commit()
-            self._conn = conn
-            self._pid = os.getpid()
-        return self._conn
+                conn.commit()
+                self._conn = conn
+                self._pid = os.getpid()
+            return self._conn
+
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """The connection, held exclusively for the ``with`` block."""
+        with self._lock:
+            yield self._connect()
 
     @staticmethod
     def _is_busy(exc: sqlite3.OperationalError) -> bool:
@@ -390,7 +340,9 @@ class SqliteCache:
         return "locked" in text or "busy" in text
 
     def _write_with_retry(self, operation):
-        """Run a write closure, retrying lock-contention failures.
+        """Run a write closure on the connection, retrying
+        lock-contention failures (the backoff sleeps outside the
+        internal lock).
 
         Content addressing makes every write idempotent, so a retry can
         only re-store the same bytes; anything that is not a busy/locked
@@ -398,71 +350,46 @@ class SqliteCache:
         """
         for attempt in range(self._BUSY_ATTEMPTS):
             try:
-                return operation()
+                with self._connection() as conn, conn:
+                    return operation(conn)
             except sqlite3.OperationalError as exc:
                 if not self._is_busy(exc) or attempt == self._BUSY_ATTEMPTS - 1:
                     raise
-                time.sleep(self._BUSY_BASE_DELAY * (2 ** attempt))
+            time.sleep(self._BUSY_BASE_DELAY * (2 ** attempt))
+
+    def _query(self, sql: str, params: tuple = ()) -> list[tuple]:
+        with self._connection() as conn:
+            return conn.execute(sql, params).fetchall()
 
     def get(self, key: str) -> dict[str, Any] | None:
-        row = self._connect().execute(
-            "SELECT payload FROM entries WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
+        rows = self._query("SELECT payload FROM entries WHERE key = ?", (key,))
+        if not rows:
             return None
         try:
-            return json.loads(row[0])
+            return json.loads(rows[0][0])
         except json.JSONDecodeError:
             return None  # corrupt entry reads as a miss, like the dir backend
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        # The measured wall time is denormalized into its own column so
-        # the LPT cost model can read one float per cell instead of
-        # parsing full payloads (schedules dominate the payload bytes).
-        timing = _finite_timing(payload)
         text = json.dumps(payload)
-        conn = self._connect()
-
-        def write() -> None:
-            with conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries "
-                    "(key, payload, wall_time, created_at) "
-                    "VALUES (?, ?, ?, ?)",
-                    (key, text, timing, time.time()),
-                )
-
-        self._write_with_retry(write)
-
-    def get_timing(self, key: str) -> float | None:
-        """The stored ``wall_time`` of one entry, payload left unparsed.
-
-        The fast path for :meth:`~repro.engine.runner.BatchRunner.
-        estimate_costs` over large caches. Entries written by a
-        pre-timing build (``NULL`` column) fall back to a full payload
-        read; a miss (or an entry with no usable timing) is ``None``.
-        """
-        row = self._connect().execute(
-            "SELECT wall_time FROM entries WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        if row[0] is not None:
-            return float(row[0])
-        return _finite_timing(self.get(key))
+        self._write_with_retry(
+            lambda conn: conn.execute(
+                "INSERT OR REPLACE INTO entries (key, payload, created_at) "
+                "VALUES (?, ?, ?)",
+                (key, text, time.time()),
+            )
+        )
 
     def stats(self) -> dict[str, Any]:
-        """Backend, entry count, payload bytes, and timing coverage."""
-        row = self._connect().execute(
-            "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0), "
-            "COUNT(wall_time) FROM entries"
-        ).fetchone()
+        """Backend, entry count, and payload bytes."""
+        ((entries, total_bytes),) = self._query(
+            "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) FROM entries"
+        )
         return {
             "backend": "sqlite",
             "location": str(self.path),
-            "entries": int(row[0]),
-            "total_bytes": int(row[1]),
-            "timed_entries": int(row[2]),
+            "entries": int(entries),
+            "total_bytes": int(total_bytes),
         }
 
     def gc(self, older_than: float) -> int:
@@ -474,37 +401,25 @@ class SqliteCache:
         forever would defeat it. Returns the number pruned.
         """
         cutoff = time.time() - float(older_than)
-        conn = self._connect()
-
-        def prune() -> int:
-            with conn:
-                cursor = conn.execute(
+        return self._write_with_retry(
+            lambda conn: int(
+                conn.execute(
                     "DELETE FROM entries "
                     "WHERE created_at IS NULL OR created_at < ?",
                     (cutoff,),
-                )
-                return int(cursor.rowcount)
-
-        return self._write_with_retry(prune)
+                ).rowcount
+            )
+        )
 
     def keys(self) -> Iterator[str]:
-        for (key,) in self._connect().execute(
-            "SELECT key FROM entries ORDER BY key"
-        ):
+        for (key,) in self._query("SELECT key FROM entries ORDER BY key"):
             yield key
 
     def __contains__(self, key: str) -> bool:
-        return (
-            self._connect()
-            .execute("SELECT 1 FROM entries WHERE key = ?", (key,))
-            .fetchone()
-            is not None
-        )
+        return bool(self._query("SELECT 1 FROM entries WHERE key = ?", (key,)))
 
     def __len__(self) -> int:
-        return int(
-            self._connect().execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-        )
+        return int(self._query("SELECT COUNT(*) FROM entries")[0][0])
 
     def close(self) -> None:
         """Checkpoint the WAL and close the connection.
@@ -515,13 +430,14 @@ class SqliteCache:
         relying on the garbage collector to get around to it. Safe to
         call twice; the connection reopens lazily on the next use.
         """
-        if self._conn is not None and self._pid == os.getpid():
-            try:
-                self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            except sqlite3.Error:
-                pass  # best effort: closing still detaches the sidecars
-            self._conn.close()
-        self._conn = None
+        with self._lock:
+            if self._conn is not None and self._pid == os.getpid():
+                try:
+                    self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+                except sqlite3.Error:
+                    pass  # best effort: closing still detaches the sidecars
+                self._conn.close()
+            self._conn = None
 
     def __enter__(self) -> "SqliteCache":
         return self
@@ -567,10 +483,8 @@ class MemoryCache:
             )
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        # key -> (created_at, wall_time | None, payload text)
-        self._entries: OrderedDict[str, tuple[float, float | None, str]] = (
-            OrderedDict()
-        )
+        # key -> (created_at, payload text)
+        self._entries: OrderedDict[str, tuple[float, str]] = OrderedDict()
 
     def get(self, key: str) -> dict[str, Any] | None:
         with self._lock:
@@ -578,25 +492,17 @@ class MemoryCache:
             if entry is None:
                 return None
             self._entries.move_to_end(key)
-        return json.loads(entry[2])
+        return json.loads(entry[1])
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         created = time.time()
-        timing = _finite_timing(payload)
         text = json.dumps(payload)
         with self._lock:
-            self._entries[key] = (created, timing, text)
+            self._entries[key] = (created, text)
             self._entries.move_to_end(key)
             if self.max_entries is not None:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
-
-    def get_timing(self, key: str) -> float | None:
-        """The entry's ``wall_time`` without a payload parse (no recency
-        bump: cost estimation is a scan, not a use)."""
-        with self._lock:
-            entry = self._entries.get(key)
-        return entry[1] if entry is not None else None
 
     def keys(self) -> Iterator[str]:
         with self._lock:
@@ -611,8 +517,7 @@ class MemoryCache:
             "backend": "memory",
             "location": f"lru({bound})",
             "entries": len(entries),
-            "total_bytes": sum(len(e[2]) for e in entries),
-            "timed_entries": sum(1 for e in entries if e[1] is not None),
+            "total_bytes": sum(len(e[1]) for e in entries),
         }
 
     def gc(self, older_than: float) -> int:
@@ -713,36 +618,6 @@ class TieredCache:
         for tier in self.tiers:
             tier.put(key, payload)
 
-    def get_timing(self, key: str) -> float | None:
-        for tier in self.tiers:
-            probe = getattr(tier, "get_timing", None)
-            if probe is not None:
-                timing = probe(key)
-                if timing is not None:
-                    return timing
-        return _finite_timing(self.get(key))
-
-    def get_timings(self, keys: Sequence[str]) -> dict[str, float]:
-        """Bulk timings without payload parses; keys no tier can time
-        are simply absent (the cost model estimates them at its
-        default)."""
-        out: dict[str, float] = {}
-        missing = list(keys)
-        for tier in self.tiers:
-            if not missing:
-                break
-            bulk = getattr(tier, "get_timings", None)
-            probe = getattr(tier, "get_timing", None)
-            if bulk is not None:
-                out.update(bulk(missing))
-            elif probe is not None:
-                for key in missing:
-                    timing = probe(key)
-                    if timing is not None:
-                        out[key] = timing
-            missing = [key for key in missing if key not in out]
-        return out
-
     def keys(self) -> Iterator[str]:
         return self.tiers[-1].keys()
 
@@ -762,7 +637,6 @@ class TieredCache:
             ),
             "entries": authoritative.get("entries"),
             "total_bytes": authoritative.get("total_bytes"),
-            "timed_entries": authoritative.get("timed_entries"),
             "tiers": per_tier,
         }
 

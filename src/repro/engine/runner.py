@@ -23,9 +23,7 @@ which buys two properties at once:
   :class:`~repro.engine.cache.ResultCache` stores, so a cache hit is
   indistinguishable from a fresh run (and a warm sweep recomputes
   nothing — only changed cells miss). The stored wall time is the
-  *original* measured cost of the cell, which is what feeds the
-  measured-cost shard scheduler (:func:`shard_assignment` with
-  ``strategy="lpt"`` over :meth:`BatchRunner.estimate_costs`).
+  *original* measured cost of the cell.
 
 The certified ratio is filled for exactly the algorithms whose registry
 entry declares the ``certificate-producing`` capability; other cells
@@ -34,7 +32,6 @@ carry ``NaN`` there, never a fake number.
 
 from __future__ import annotations
 
-import heapq
 import math
 import queue
 import threading
@@ -71,7 +68,6 @@ __all__ = [
     "request_key",
     "evaluate_request",
     "merge_shards",
-    "shard_assignment",
     "shard_requests",
     "record_to_payload",
     "record_from_payload",
@@ -85,13 +81,12 @@ __all__ = [
 #: PD's floats in the last bits; the payload fields are unchanged.)
 RECORD_VERSION = 3
 
-#: Shard-scheduling strategies. ``rr`` and ``lpt`` are *static* — pure
-#: functions :func:`shard_assignment` computes up front — while
+#: Shard-scheduling strategies. ``rr`` is *static* — shard ``(i, k)``
+#: owns positions ``i, i+k, ...`` (:func:`shard_requests`) — while
 #: ``steal`` is *dynamic*: membership is decided cell by cell at run
 #: time through a shared :class:`ClaimTable`
-#: (:meth:`BatchRunner.run_stolen`), so it has no precomputable
-#: assignment vector.
-SHARD_STRATEGIES = ("rr", "lpt", "steal")
+#: (:meth:`BatchRunner.run_stolen`).
+SHARD_STRATEGIES = ("rr", "steal")
 
 
 class ClaimTable(Protocol):
@@ -279,10 +274,9 @@ class RunRecord:
 
     ``wall_time`` is the measured evaluation cost of the cell in
     seconds. A cached record carries the time of the *original*
-    computation (that is what the LPT shard scheduler wants), and the
-    field is excluded from equality/comparison — it is a measurement of
-    the machine, not of the algorithm, so two otherwise-identical
-    records still compare equal.
+    computation, and the field is excluded from equality/comparison —
+    it is a measurement of the machine, not of the algorithm, so two
+    otherwise-identical records still compare equal.
     """
 
     algorithm: str
@@ -490,152 +484,42 @@ def _check_shard(shard: tuple[int, int]) -> tuple[int, int]:
     return index, count
 
 
-def shard_assignment(
-    total: int,
-    count: int,
-    *,
-    strategy: str = "rr",
-    costs: Sequence[float] | None = None,
-) -> list[int]:
-    """Owning shard index for each of ``total`` request positions.
-
-    Two strategies, both pure functions of their inputs — any machine
-    holding the same request list (and, for LPT, the same cost vector)
-    derives the same split with no coordination:
-
-    * ``"rr"`` (default) — positional round-robin: position ``p`` goes
-      to shard ``p % count``. Cost-oblivious, byte-compatible with the
-      historical split, balanced whenever cost trends along the grid.
-    * ``"lpt"`` — longest-processing-time balancing over *measured*
-      costs (seconds, from :meth:`BatchRunner.estimate_costs` or any
-      other source): positions are taken in decreasing cost order and
-      each goes to the currently least-loaded shard (ties broken by
-      lowest shard index, equal costs by lowest position — fully
-      deterministic). The classic 4/3-approximation to the optimal
-      makespan, which matters when a grid mixes second-long exact-solver
-      cells with millisecond heuristic cells.
-
-    ``costs`` is optional for LPT (missing → all cells weigh 1.0, which
-    still balances counts); non-finite or negative entries are rejected
-    loudly rather than silently skewing the schedule.
-    """
-    if not isinstance(count, int) or count < 1:
-        raise InvalidParameterError(f"shard count must be an int >= 1, got {count!r}")
-    if strategy == "rr":
-        return [position % count for position in range(total)]
-    if strategy == "steal":
-        raise InvalidParameterError(
-            "'steal' is a dynamic strategy with no precomputable "
-            "assignment — run it through BatchRunner.run_stolen with a "
-            "ClaimTable (CLI: --shard-strategy steal --cache-url ...)"
-        )
-    if strategy != "lpt":
-        raise InvalidParameterError(
-            f"unknown shard strategy {strategy!r}; "
-            f"available: {', '.join(SHARD_STRATEGIES)}"
-        )
-    if costs is None:
-        costs = [1.0] * total
-    if len(costs) != total:
-        raise InvalidParameterError(
-            f"need one cost per request: got {len(costs)} costs "
-            f"for {total} requests"
-        )
-    weights = [float(cost) for cost in costs]
-    bad = [c for c in weights if not math.isfinite(c) or c < 0.0]
-    if bad:
-        raise InvalidParameterError(
-            f"LPT costs must be finite and >= 0, got {bad[:3]}"
-        )
-    assignment = [0] * total
-    loads = [(0.0, shard) for shard in range(count)]  # already a valid heap
-    for position in sorted(range(total), key=lambda p: (-weights[p], p)):
-        load, shard = heapq.heappop(loads)
-        assignment[position] = shard
-        heapq.heappush(loads, (load + weights[position], shard))
-    return assignment
-
-
 def shard_requests(
-    requests: Sequence[RunRequest],
-    shard: tuple[int, int],
-    *,
-    strategy: str = "rr",
-    costs: Sequence[float] | None = None,
+    requests: Sequence[RunRequest], shard: tuple[int, int]
 ) -> list[RunRequest]:
     """The deterministic subset of ``requests`` owned by one shard.
 
-    The split is computed by :func:`shard_assignment` — positional
-    round-robin by default (shard ``(i, k)`` owns positions
-    ``i, i+k, i+2k, ...``), or measured-cost LPT balancing with
-    ``strategy="lpt"``. Either way membership is a pure function of the
-    request list (and cost vector), so machines agree on the split
-    without coordination.
+    Positional round-robin: shard ``(i, k)`` owns positions ``i, i+k,
+    i+2k, ...``. Membership is a pure function of the request list, so
+    machines agree on the split without coordination.
     """
     index, count = _check_shard(shard)
-    assignment = shard_assignment(
-        len(requests), count, strategy=strategy, costs=costs
-    )
-    return [
-        request
-        for position, request in enumerate(requests)
-        if assignment[position] == index
-    ]
+    return list(requests)[index::count]
 
 
-def merge_shards(
-    shards: Sequence[Sequence[RunRecord]],
-    *,
-    assignment: Sequence[int] | None = None,
-) -> list[RunRecord]:
+def merge_shards(shards: Sequence[Sequence[RunRecord]]) -> list[RunRecord]:
     """Recombine per-shard record lists into full-run request order.
 
     ``shards[i]`` must be the records of shard ``(i, len(shards))`` over
     one common request list; the result is exactly what an unsharded
-    ``run`` of that list returns. Without ``assignment`` the split is
-    assumed round-robin and shapes are validated (shard ``i`` of ``k``
-    owns ``ceil((n - i) / k)`` positions); with an ``assignment`` (the
-    :func:`shard_assignment` vector the shards were cut with — e.g. an
-    LPT schedule) records are stitched back by position. Either way,
-    passing shards from different sweeps, a missing shard, or a wrong
-    order fails loudly instead of silently interleaving garbage.
+    ``run`` of that list returns. Shapes are validated (shard ``i`` of
+    ``k`` owns ``ceil((n - i) / k)`` positions), so passing shards from
+    different sweeps, a missing shard, or a wrong order fails loudly
+    instead of silently interleaving garbage.
     """
     count = len(shards)
     if count == 0:
         raise InvalidParameterError("need at least one shard to merge")
     total = sum(len(s) for s in shards)
-    if assignment is None:
-        for index, records in enumerate(shards):
-            expected = (total - index + count - 1) // count
-            if len(records) != expected:
-                raise InvalidParameterError(
-                    f"shard {index}/{count} has {len(records)} records, "
-                    f"expected {expected} of {total} total — shards are "
-                    "incomplete, duplicated, or from different request lists"
-                )
-        return [shards[pos % count][pos // count] for pos in range(total)]
-    if len(assignment) != total:
-        raise InvalidParameterError(
-            f"assignment covers {len(assignment)} positions but the shards "
-            f"hold {total} records"
-        )
-    owned = [0] * count
-    for shard in assignment:
-        if not isinstance(shard, int) or not 0 <= shard < count:
-            raise InvalidParameterError(
-                f"assignment names shard {shard!r} but only {count} "
-                "shard record lists were given"
-            )
-        owned[shard] += 1
     for index, records in enumerate(shards):
-        if len(records) != owned[index]:
+        expected = (total - index + count - 1) // count
+        if len(records) != expected:
             raise InvalidParameterError(
-                f"shard {index}/{count} has {len(records)} records but the "
-                f"assignment gives it {owned[index]} — shards and assignment "
-                "are from different runs"
+                f"shard {index}/{count} has {len(records)} records, "
+                f"expected {expected} of {total} total — shards are "
+                "incomplete, duplicated, or from different request lists"
             )
-    cursors = [iter(records) for records in shards]
-    return [next(cursors[shard]) for shard in assignment]
+    return [shards[pos % count][pos // count] for pos in range(total)]
 
 
 @dataclass
@@ -924,8 +808,6 @@ class BatchRunner:
         requests: Sequence[RunRequest],
         *,
         shard: tuple[int, int] | None = None,
-        strategy: str = "rr",
-        costs: Sequence[float] | None = None,
         on_record: Callable[[RunRecord, int, int], None] | None = None,
     ) -> list[RunRecord]:
         """Evaluate all cells; results are in request order.
@@ -941,10 +823,8 @@ class BatchRunner:
         return value.
 
         ``shard=(i, k)`` evaluates only the deterministic ``i``-th of
-        ``k`` slices of the request list (see :func:`shard_requests`;
-        ``strategy``/``costs`` select and parameterize the split, with
-        measured-cost LPT balancing under ``strategy="lpt"``) and
-        returns that slice's records; :func:`merge_shards` recombines
+        ``k`` round-robin slices of the request list (see
+        :func:`shard_requests`) and returns that slice's records; :func:`merge_shards` recombines
         the ``k`` slices into the unsharded result, so a grid can be
         split across machines and recombined into bit-identical
         measurements. (Only the ``cached`` bookkeeping flag can differ,
@@ -953,7 +833,7 @@ class BatchRunner:
         requests = (
             list(requests)
             if shard is None
-            else shard_requests(requests, shard, strategy=strategy, costs=costs)
+            else shard_requests(requests, shard)
         )
         total = len(requests)
         records: list[RunRecord | None] = [None] * total
@@ -1266,61 +1146,3 @@ class BatchRunner:
                 on_record(record, done, len(requests))
         pairs.sort(key=lambda pair: pair[0])
         return pairs
-
-    def estimate_costs(
-        self, requests: Sequence[RunRequest], *, default: float = 1.0
-    ) -> list[float]:
-        """Per-request cost estimates (seconds) from prior cached runs.
-
-        Reads the measured ``wall_time`` each request's payload stored
-        in the cache backend — any :class:`~repro.engine.cache.
-        CacheBackend` works, which is how a warm sweep's timings become
-        the next sweep's LPT schedule. A backend exposing ``get_timing``
-        (the :class:`~repro.engine.cache.SqliteCache` column, the
-        :class:`~repro.engine.cache.DirectoryCache` ``.timing`` sidecar)
-        answers without parsing full payloads, and one exposing bulk
-        ``get_timings`` (the HTTP backend, tiered stacks) answers the
-        whole request list in batched round trips instead of one per
-        key. Requests with no cached timing (or a timing from a build
-        that predates measurement) estimate at ``default``, so a cold
-        cache degrades to count balancing rather than failing.
-        """
-        if self.cache is None:
-            return [float(default)] * len(requests)
-        keys = [
-            request_key(request.algorithm, request.instance)
-            for request in requests
-        ]
-        memo: dict[str, float] = {}  # duplicate cells share one lookup
-        bulk = getattr(self.cache, "get_timings", None)
-        probe = getattr(self.cache, "get_timing", None)
-        if bulk is not None:
-            unique = list(dict.fromkeys(keys))
-            fetched = bulk(unique)
-
-            def lookup(key: str) -> float | None:
-                return fetched.get(key)
-        elif probe is not None:
-            lookup = probe
-        else:
-
-            def lookup(key: str) -> float | None:
-                payload = self.cache.get(key)
-                return payload.get("wall_time") if payload is not None else None
-
-        estimates = []
-        for key in keys:
-            estimate = memo.get(key)
-            if estimate is None:
-                cost = lookup(key)
-                if (
-                    cost is None
-                    or not math.isfinite(float(cost))
-                    or float(cost) < 0.0
-                ):
-                    estimate = float(default)
-                else:
-                    estimate = float(cost)
-                memo[key] = estimate
-            estimates.append(estimate)
-        return estimates

@@ -32,19 +32,18 @@ Subcommands
     to a ``cache-serve`` process at ``--cache-url``, ``tiered`` stacks
     memory → local dir → remote), streamed (``--progress`` prints a
     completion-order ticker to stderr), and split across machines
-    (``--shard i/k`` to compute one deterministic slice —
-    ``--shard-strategy lpt`` balances the slices by measured per-cell
-    cost from the cache, ``--shard-strategy steal`` claims cells
-    dynamically from the cache server's shared claim table —
-    ``--merge shard0.json shard1.json ...`` to recombine slices into
-    the exact unsharded result).
+    (``--shard i/k`` to compute one deterministic round-robin slice —
+    ``--shard-strategy steal`` claims cells dynamically from the cache
+    server's shared claim table instead — ``--merge shard0.json
+    shard1.json ...`` to recombine slices into the exact unsharded
+    result).
 ``cache-serve``
     Serve a local cache backend (and the work-stealing claim table)
     over HTTP for a fleet of sweep workers.
 ``cache``
-    Cache maintenance: ``stats`` (backend, entries, bytes, timing
-    coverage — any backend, including a remote server) and ``gc
-    --older-than`` (prune old entries and stale temp files).
+    Cache maintenance: ``stats`` (backend, entries, bytes — any
+    backend, including a remote server) and ``gc --older-than`` (prune
+    old entries and stale temp files).
 ``bench``
     Run named perf scenarios (``pd-scaling``, ``oa-scaling``,
     ``yds-scaling``, ``grid-refine``, ``cache-micro``) and write
@@ -67,6 +66,7 @@ from typing import Callable, Sequence
 from ..analysis.report import audit_run
 from ..core.pd import run_pd
 from ..core.simulator import available_algorithms, run_algorithm
+from ..engine.runner import SHARD_STRATEGIES
 from ..errors import InvalidParameterError, ReproError
 from ..model.job import Instance
 from .serialize import (
@@ -270,16 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument(
         "--shard-strategy",
-        choices=["rr", "lpt", "steal"],
+        choices=SHARD_STRATEGIES,
         default="rr",
         help=(
             "how --shard splits the grid: positional round-robin (rr, "
-            "default), longest-processing-time balancing over measured "
-            "per-cell costs read from --cache (lpt; cells without a "
-            "cached timing weigh 1.0), or dynamic work stealing (steal; "
-            "each worker claims cells from the cache server's shared "
-            "claim table at --cache-url, so the shard index only labels "
-            "the worker)"
+            "default) or dynamic work stealing (steal; each worker "
+            "claims cells from the cache server's shared claim table at "
+            "--cache-url, so the shard index only labels the worker)"
         ),
     )
     swp.add_argument(
@@ -363,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "record-lock stripes (default: 16 for thread-safe backends "
-            "like dir/memory, 1 for sqlite — which must stay serialized)"
+            "record-lock stripes (default: 16; every backend served "
+            "here is thread-safe)"
         ),
     )
 
@@ -759,12 +756,6 @@ def _format_stats(stats: dict, indent: int = 0) -> list[str]:
         lines.append(f"{pad}entries        : {entries}")
     if stats.get("total_bytes") is not None:
         lines.append(f"{pad}total bytes    : {stats['total_bytes']}")
-    timed = stats.get("timed_entries")
-    if timed is not None and entries is not None:
-        pct = (100.0 * timed / entries) if entries else 100.0
-        lines.append(
-            f"{pad}timing coverage: {timed}/{entries} ({pct:.1f}%)"
-        )
     if stats.get("claim_tables"):
         lines.append(f"{pad}claim tables   : {stats['claim_tables']}")
     for tier in stats.get("tiers", ()):
@@ -1009,11 +1000,10 @@ def _print_cells(experiment: str, cells) -> None:
 def _merge_shard_files(paths: Sequence[str]):
     """Load shard record files and recombine them in request order.
 
-    Shard files written by this build carry their owned request
-    ``positions``, so any :func:`~repro.engine.runner.shard_assignment`
-    strategy (round-robin or measured-cost LPT) merges back exactly;
-    files without positions fall back to the historical round-robin
-    interleave.
+    Shard files carry their owned request ``positions``, so any split
+    (round-robin, work-stealing, or the measured-cost split older
+    builds could write) merges back exactly; files without positions
+    fall back to the historical round-robin interleave.
     """
     from ..engine import record_from_payload
     from ..engine.runner import merge_shards, record_to_payload
@@ -1054,13 +1044,9 @@ def _merge_shard_files(paths: Sequence[str]):
     if len(assignments) > 1:
         raise InvalidParameterError(
             "shard files were cut from different shard assignments — with "
-            "--shard-strategy lpt this means the invocations read different "
-            "timing snapshots (e.g. earlier shards wrote new timings into "
-            "the shared cache; re-cut every shard against the same frozen "
-            "cache state), and with --shard-strategy steal it means the "
-            "workers joined different claim sessions (e.g. the cache "
-            "server restarted between workers; re-run them against one "
-            "server lifetime)"
+            "--shard-strategy steal this means the workers joined different "
+            "claim sessions (e.g. the cache server restarted between "
+            "workers; re-run them against one server lifetime)"
         )
     count = counts.pop()
     missing = sorted(set(range(count)) - set(by_index))
@@ -1181,7 +1167,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ExperimentSpec,
         aggregate_records,
         record_to_payload,
-        shard_assignment,
     )
 
     if args.shard and args.merge:
@@ -1321,37 +1306,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     claims.close()
                 positions = [position for position, _ in pairs]
                 records = [record for _, record in pairs]
-                # The claim session's server-minted token plays the
-                # assignment-fingerprint role: every worker of one
-                # session stamps the same token, so --merge recognizes
-                # dynamically-claimed shards as one run.
-                fingerprint = claims.token
+                # The claim session's server-minted token: every
+                # worker of one session stamps the same token, so
+                # --merge recognizes dynamically-claimed shards as one
+                # run.
+                session = {"assignment": claims.token}
             else:
-                costs = (
-                    runner.estimate_costs(requests)
-                    if args.shard_strategy == "lpt"
-                    else None
-                )
-                assignment = shard_assignment(
-                    len(requests),
-                    count,
-                    strategy=args.shard_strategy,
-                    costs=costs,
-                )
-                positions = [
-                    p for p in range(len(requests)) if assignment[p] == index
-                ]
+                positions = list(range(index, len(requests), count))
                 records = runner.run(
                     [requests[p] for p in positions], on_record=progress
                 )
-                # Fingerprint of the full split this shard was cut
-                # from: --merge compares it across files, so shards
-                # cut from disagreeing LPT cost snapshots (e.g. a
-                # cache that later shards mutated) fail with a
-                # targeted message instead of a confusing one.
-                fingerprint = stable_hash(
-                    {"kind": "shard-assignment", "assignment": assignment}
-                )
+                session = {}
             save_json(
                 {
                     "schema": 1,
@@ -1359,7 +1324,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "experiment": spec.name,
                     "shard": [index, count],
                     "strategy": args.shard_strategy,
-                    "assignment": fingerprint,
+                    **session,
                     # The full grid size: --merge validates the shards'
                     # positions partition 0..total-1 exactly, so cells a
                     # crashed steal worker claimed but never computed

@@ -14,8 +14,6 @@ Wire protocol (Python-dialect JSON — ``NaN`` literals allowed):
 | ``GET /records/<key>``   | —                               | 200 payload, or 404 |
 | ``PUT /records/<key>``   | payload object                  | 204 |
 | ``POST /records:batch``  | ``{"get": [keys], "put": {key: payload}}`` | 200 ``{"records": {...}, "stored": n}`` |
-| ``GET /timings``         | —                               | 200 ``{"timings": {key: seconds}}`` (all timed entries) |
-| ``POST /timings``        | ``{"keys": [keys]}``            | 200 ``{"timings": {...}}`` (subset) |
 | ``GET /keys``            | —                               | 200 ``{"keys": [...]}`` |
 | ``GET /stats``           | —                               | 200 lock-free fabric snapshot (never touches the backend) |
 | ``GET /stats?deep=1``    | —                               | 200 full backend stats + ``claim_tables`` |
@@ -48,11 +46,11 @@ Locking, three independent planes:
 * **record traffic** is striped: each key hashes (crc32) onto one of N
   mutexes, so concurrent handler threads touch *different* keys in
   parallel and only same-stripe traffic serializes. Full-scan routes
-  (``keys``, ``GET /timings``, ``gc``, deep stats) take every stripe
-  in index order — a deadlock-free global write barrier. Striping is
-  only enabled for backends that declare ``thread_safe = True``;
-  anything else (a single sqlite connection) collapses to one stripe,
-  which is exactly the old global-lock behavior.
+  (``keys``, ``gc``, deep stats) take every stripe in index order — a
+  deadlock-free global write barrier. Striping is only enabled for
+  backends that declare ``thread_safe = True`` (every shipped backend
+  does); anything else collapses to one stripe, which is exactly the
+  old global-lock behavior.
 * **claim state** is pure in-memory behind its own mutex: a slow disk
   draining bulk record writes cannot stall claim handouts past the
   workers' strict timeout (claim faults abort workers by design).
@@ -395,33 +393,6 @@ class CacheServer:
                 records[key] = payload
         return {"records": records, "stored": len(puts)}
 
-    def timings(self, keys: Sequence[str] | None) -> dict[str, float]:
-        if keys is None:
-            # Full scan (and DirectoryCache may backfill sidecars as it
-            # probes): take the global barrier like every scan route.
-            with self._records.all_stripes():
-                return self._timings_locked(list(self.cache.keys()))
-        out: dict[str, float] = {}
-        for key in keys:
-            with self._records.for_key(key):
-                out.update(self._timings_locked([key]))
-        return out
-
-    def _timings_locked(self, keys: Sequence[str]) -> dict[str, float]:
-        probe = getattr(self.cache, "get_timing", None)
-        out: dict[str, float] = {}
-        for key in keys:
-            if probe is not None:
-                timing = probe(key)
-            else:
-                payload = self.cache.get(key)
-                timing = (
-                    payload.get("wall_time") if payload is not None else None
-                )
-            if isinstance(timing, (int, float)):
-                out[str(key)] = float(timing)
-        return out
-
     def list_keys(self) -> list[str]:
         with self._records.all_stripes():
             return sorted(self.cache.keys())
@@ -692,8 +663,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
         elif parts == ["keys"]:
             self._reply(200, {"keys": self.fabric.list_keys()})
-        elif parts == ["timings"]:
-            self._reply(200, {"timings": self.fabric.timings(None)})
         elif len(parts) == 2 and parts[0] == "records":
             payload = self.fabric.get_record(
                 self._safe_name(parts[1], "record key")
@@ -738,9 +707,7 @@ class _Handler(BaseHTTPRequestHandler):
                     400, f"batch put payloads must be objects (bad: {bad[:3]})"
                 )
             # Batch *gets* walk the same backend paths as single-record
-            # reads (and /timings can even trigger the DirectoryCache
-            # sidecar backfill write), so their keys go through the
-            # same traversal gate.
+            # reads, so their keys go through the same traversal gate.
             self._reply(
                 200,
                 self.fabric.batch(
@@ -748,16 +715,6 @@ class _Handler(BaseHTTPRequestHandler):
                     puts,
                 ),
             )
-        elif parts == ["timings"]:
-            body = self._body()
-            keys = None if body is None else body.get("keys")
-            if keys is not None and not isinstance(keys, list):
-                raise _HttpStatus(400, "timings body wants {'keys': [keys]}")
-            if keys is not None:
-                keys = [
-                    self._safe_name(str(key), "record key") for key in keys
-                ]
-            self._reply(200, {"timings": self.fabric.timings(keys)})
         elif parts == ["gc"]:
             body = self._body()
             older_than = (body or {}).get("older_than")

@@ -35,7 +35,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
 
 from ..engine.registry import canonical_variant_name, parse_variant_name
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, ReproError
 from ..model.job import Instance
 
 __all__ = [
@@ -119,6 +119,12 @@ class WorkloadInfo:
         one raises instead of silently shadowing either side. ``n`` and
         ``seed`` given in the spec win over the call-site arguments (a
         pinned replicate is the point of putting them in the spec).
+
+        Values the generator's numerics cannot take (a negative seed,
+        an ``alpha`` whose energies overflow) raise
+        :class:`~repro.errors.InvalidParameterError` naming the spec,
+        ``n`` and ``seed``, never numpy's or the math module's untyped
+        ``ValueError``/``OverflowError``.
         """
         params = dict(self.params)
         n_eff = params.pop("n", None)
@@ -131,7 +137,15 @@ class WorkloadInfo:
                 f"parameter(s) {sorted(clashes)} are pinned by the workload "
                 f"spec {self.name!r} and were also passed as keywords"
             )
-        return self.generator(n_eff, seed=seed_eff, **{**kwargs, **params})
+        try:
+            return self.generator(n_eff, seed=seed_eff, **{**kwargs, **params})
+        except ReproError:
+            raise
+        except (ValueError, OverflowError) as exc:
+            raise InvalidParameterError(
+                f"workload {self.name!r} cannot be built with n={n_eff}, "
+                f"seed={seed_eff}: {exc}"
+            ) from exc
 
 
 class WorkloadRegistry:

@@ -239,10 +239,17 @@ def bursty_instance(
 )
 def _laminar_family(n, *, branching=2, m=1, alpha=3.0, seed=0):
     """Adapter: :func:`laminar_instance` is parameterized by tree depth,
-    not job count — map ``n`` to the binary-tree depth whose node count
-    (``2**depth - 1``) comes closest from below, so the registry's
-    uniform contract "about n jobs" holds."""
-    depth = max(1, (n + 1).bit_length() - 1)
+    not job count — map ``n`` to the deepest ``branching``-ary tree whose
+    node count (``(branching**depth - 1) / (branching - 1)``) is at most
+    ``n`` (depth at least 1), so the registry's uniform contract "about
+    n jobs" holds and never overshoots."""
+    if branching < 2:
+        raise InvalidParameterError(f"need branching >= 2, got {branching}")
+    depth, width, nodes = 1, 1, 1
+    while nodes + width * branching <= n:
+        width *= branching
+        nodes += width
+        depth += 1
     return laminar_instance(depth, branching=branching, m=m, alpha=alpha, seed=seed)
 
 

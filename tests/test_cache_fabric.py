@@ -11,8 +11,12 @@ Four guarantees, each load-bearing for multi-machine sweeps:
   union, exactly the unsharded run, and the claim session token lets
   the merge step recognize the shards as one run;
 * **concurrent durability** — the sqlite backend survives multiple
-  processes hammering ``put`` (bounded busy retry), and the directory
-  backend's timing sidecar keeps cost estimation payload-free.
+  processes hammering ``put`` (bounded busy retry) and threads sharing
+  one instance (internal connection lock);
+* **parent-written state** — caches, shard files and clients from
+  builds that still had the measured-cost (LPT) shard strategy keep
+  working: sqlite databases with a ``wall_time`` column, directory
+  ``.timing`` sidecars, and LPT shard files merge or serve warm.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from repro.engine import (
     SqliteCache,
     TieredCache,
     backend_stats,
-    request_key,
-    shard_assignment,
 )
 from repro.errors import CacheError, InvalidParameterError
 from repro.io.server import CacheServer
@@ -118,17 +120,18 @@ class TestHttpCacheProtocol:
         assert found == entries  # absent key simply missing
         assert cache.get_many([]) == {}
 
-    def test_timings_flow_to_cost_estimates(self, requests, server):
-        cache = HttpCache(server.url)
-        BatchRunner(cache=cache).run(requests)
-        keys = [request_key(r.algorithm, r.instance) for r in requests]
-        timings = cache.get_timings(keys)
-        assert set(timings) == set(keys)
-        assert all(t > 0 for t in timings.values())
-        # estimate_costs takes the bulk path and matches per-key probes
-        costs = BatchRunner(cache=cache).estimate_costs(requests)
-        assert costs == [timings[k] for k in keys]
-        assert cache.get_timing(keys[0]) == timings[keys[0]]
+    def test_timings_routes_answer_404(self, server):
+        import urllib.error
+        import urllib.request
+
+        HttpCache(server.url).put("k", {"v": 1, "wall_time": 0.5})
+        for method, body in (("GET", None), ("POST", b'{"keys": ["k"]}')):
+            request = urllib.request.Request(
+                f"{server.url}/timings", data=body, method=method
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request, timeout=2.0)
+            assert err.value.code == 404
 
     def test_stats_reports_server_backend(self, server):
         cache = HttpCache(server.url)
@@ -160,7 +163,6 @@ class TestHttpCacheFaults:
         assert cache.get("k") is None
         cache.put("k", {"v": 1})  # dropped, not raised
         assert cache.get_many(["k"]) == {}
-        assert cache.get_timings(["k"]) == {}
         runner = BatchRunner(cache=cache)
         records = runner.run(requests)
         assert _strip(records) == _strip(plain_records)
@@ -253,13 +255,6 @@ class TestServerHardening:
             assert len(backend) == 0
             # batch *gets* walk the same backend read path
             assert cache.get_many(["../../escaped"]) == {}
-            # and /timings can even WRITE (the sidecar backfill):
-            # a hostile key must never reach the backend there either
-            (tmp_path / "outer" / "loot.json").write_text(
-                json.dumps({"v": 1, "wall_time": 0.5})
-            )
-            assert cache.get_timings(["../../loot"]) == {}
-            assert not (tmp_path / "outer" / "loot.timing").exists()
             with pytest.raises(CacheError, match="illegal claim id"):
                 HttpClaimTable(srv.url, "../../table", 2)
         finally:
@@ -437,13 +432,6 @@ class TestTieredCache:
         assert stats["backend"] == "tiered" and stats["entries"] == 1
         assert [t["backend"] for t in stats["tiers"]] == ["memory", "dir"]
 
-    def test_get_timing_prefers_metadata_paths(self, tmp_path):
-        disk = DirectoryCache(tmp_path / "d")
-        disk.put("k", {"v": 1, "wall_time": 0.25})
-        tiered = TieredCache([MemoryCache(), disk])
-        assert tiered.get_timing("k") == 0.25
-        assert tiered.get_timings(["k", "nope"]) == {"k": 0.25}
-
     def test_empty_tier_list_rejected(self):
         with pytest.raises(InvalidParameterError, match="at least one"):
             TieredCache([])
@@ -579,10 +567,6 @@ class TestWorkStealing:
         finally:
             httpd.shutdown()
             httpd.server_close()
-
-    def test_steal_has_no_static_assignment(self):
-        with pytest.raises(InvalidParameterError, match="dynamic"):
-            shard_assignment(4, 2, strategy="steal")
 
 
 class TestClaimLeases:
@@ -816,43 +800,54 @@ class TestSqliteConcurrency:
         assert len(cache) == 240
         cache.close()
 
+    def test_threads_share_one_instance(self, tmp_path):
+        """Every connection use holds the internal lock: threads sharing
+        one instance never interleave two transactions on it."""
+        cache = SqliteCache(tmp_path / "c.db")
+        assert cache.thread_safe
+        errors: list[Exception] = []
 
-class TestDirectoryCacheTimingIndex:
-    """Satellite perf fix: cost estimation reads metadata, not payloads."""
+        def hammer(slot: int) -> None:
+            try:
+                for i in range(150):
+                    key = f"{slot}-{i}"
+                    cache.put(key, {"v": i})
+                    assert cache.get(key) == {"v": i} and key in cache
+                    len(cache)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
 
-    def test_put_writes_sidecar_and_get_timing_reads_it(self, tmp_path):
+        threads = [
+            threading.Thread(target=hammer, args=(slot,)) for slot in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) == 600 and len(list(cache.keys())) == 600
+        cache.close()
+
+
+class TestCacheMaintenance:
+    """One file per directory entry; gc and stats on every backend."""
+
+    def test_put_writes_one_file(self, tmp_path):
         cache = DirectoryCache(tmp_path / "c")
         cache.put("k", {"v": 1, "wall_time": 0.5})
-        sidecar = tmp_path / "c" / "k.timing"
-        assert sidecar.read_text() == "0.5"
-        assert cache.get_timing("k") == 0.5
-        assert cache.get_timing("missing") is None
-        # timing-less payloads write no sidecar and time as None
-        cache.put("plain", {"v": 2})
-        assert not (tmp_path / "c" / "plain.timing").exists()
-        assert cache.get_timing("plain") is None
-
-    def test_pre_sidecar_entries_backfill_lazily(self, tmp_path):
-        cache = DirectoryCache(tmp_path / "c")
-        # Simulate an entry from a build without sidecars:
-        (tmp_path / "c" / "old.json").write_text(
-            json.dumps({"v": 1, "wall_time": 0.25})
-        )
-        assert not (tmp_path / "c" / "old.timing").exists()
-        assert cache.get_timing("old") == 0.25
-        assert (tmp_path / "c" / "old.timing").read_text() == "0.25"
+        assert [p.name for p in (tmp_path / "c").iterdir()] == ["k.json"]
 
     def test_sidecars_are_not_entries(self, tmp_path):
         cache = DirectoryCache(tmp_path / "c")
         cache.put("k", {"v": 1, "wall_time": 0.5})
+        (tmp_path / "c" / "k.timing").write_text("0.5")  # older build's
         assert list(cache.keys()) == ["k"] and len(cache) == 1
-
-    def test_estimate_costs_uses_sidecars(self, requests, tmp_path):
-        cache = DirectoryCache(tmp_path / "c")
-        BatchRunner(cache=cache).run(requests)
-        costs = BatchRunner(cache=cache).estimate_costs(requests)
-        keys = [request_key(r.algorithm, r.instance) for r in requests]
-        assert costs == [cache.get_timing(k) for k in keys]
 
     def test_gc_prunes_entries_sidecars_and_temps(self, tmp_path):
         import os
@@ -861,28 +856,29 @@ class TestDirectoryCacheTimingIndex:
         cache.put("old", {"v": 1, "wall_time": 0.5})
         cache.put("fresh", {"v": 2, "wall_time": 0.5})
         (tmp_path / "c" / ".tmp-stale.json").write_text("x")
-        (tmp_path / "c" / "orphan.timing").write_text("1.0")
+        for name in ("old", "fresh", "orphan"):  # older builds' sidecars
+            (tmp_path / "c" / f"{name}.timing").write_text("0.5")
         ancient = time.time() - 7200
         for name in ("old.json", "old.timing", ".tmp-stale.json"):
             os.utime(tmp_path / "c" / name, (ancient, ancient))
         assert cache.gc(3600.0) == 1
         left = sorted(p.name for p in (tmp_path / "c").iterdir())
-        assert left == ["fresh.json", "fresh.timing"]
+        assert left == ["fresh.json"]
 
-    def test_stats_counts_entries_bytes_coverage(self, tmp_path):
+    def test_stats_counts_entries_and_bytes(self, tmp_path):
         cache = DirectoryCache(tmp_path / "c")
         cache.put("a", {"v": 1, "wall_time": 0.5})
         cache.put("b", {"v": 2})
         stats = cache.stats()
         assert stats["backend"] == "dir" and stats["entries"] == 2
-        assert stats["timed_entries"] == 1 and stats["total_bytes"] > 0
+        assert stats["total_bytes"] > 0 and "timed_entries" not in stats
 
     def test_sqlite_gc_and_stats(self, tmp_path):
         cache = SqliteCache(tmp_path / "c.db")
         cache.put("k", {"v": 1, "wall_time": 0.5})
         stats = cache.stats()
         assert stats["backend"] == "sqlite"
-        assert stats["entries"] == 1 and stats["timed_entries"] == 1
+        assert stats["entries"] == 1 and "timed_entries" not in stats
         assert cache.gc(3600.0) == 0
         # pre-timestamp entries (created_at NULL) are prunable
         conn = cache._connect()
@@ -907,6 +903,82 @@ class TestDirectoryCacheTimingIndex:
 
         stats = backend_stats(Minimal())
         assert stats == {"backend": "Minimal", "entries": 0}
+
+
+class TestParentWrittenState:
+    """Caches written by builds that still fed the measured-cost (LPT)
+    shard strategy: sqlite databases with a ``wall_time`` column and
+    directories with ``.timing`` sidecars serve warm sweeps unchanged."""
+
+    BASE = [
+        "sweep", "poisson", "-n", "4", "--alphas", "3.0", "--ms", "1",
+        "--algorithms", "pd,oa", "--seeds", "0,1",
+    ]
+
+    def test_sqlite_wall_time_column_serves_warm_and_takes_puts(
+        self, tmp_path, capsys
+    ):
+        import sqlite3
+
+        from repro.io.cli import main
+
+        fresh, cold = str(tmp_path / "fresh.db"), str(tmp_path / "cold.json")
+        argv = self.BASE + ["--cache-backend", "sqlite"]
+        assert main(argv + ["--cache", fresh, "--json", cold]) == 0
+        # Rebuild those entries in the older schema, timing column filled.
+        source = sqlite3.connect(fresh)
+        rows = source.execute(
+            "SELECT key, payload, created_at FROM entries"
+        ).fetchall()
+        source.close()
+        parent = str(tmp_path / "parent.db")
+        conn = sqlite3.connect(parent)
+        conn.execute(
+            "CREATE TABLE entries (key TEXT PRIMARY KEY, payload TEXT NOT "
+            "NULL, wall_time REAL, created_at REAL)"
+        )
+        conn.executemany(
+            "INSERT INTO entries VALUES (?, ?, ?, ?)",
+            [(k, p, json.loads(p)["wall_time"], c) for k, p, c in rows],
+        )
+        conn.commit()
+        conn.close()
+        capsys.readouterr()
+
+        warm = str(tmp_path / "warm.json")
+        assert main(argv + ["--cache", parent, "--json", warm]) == 0
+        assert "(0 cells computed, 4 served from cache)" in capsys.readouterr().out
+        with open(cold, "rb") as a, open(warm, "rb") as b:
+            assert a.read() == b.read()
+        grown = [*argv[:-3], "0,1,2", "--cache-backend", "sqlite"]
+        assert main(grown + ["--cache", parent]) == 0
+        assert "(2 cells computed, 4 served from cache)" in capsys.readouterr().out
+        with SqliteCache(parent) as cache:
+            assert len(cache) == 6
+
+    def test_dir_timing_sidecars_serve_warm_and_gc_clears_them(
+        self, tmp_path, capsys
+    ):
+        from repro.io.cli import main
+
+        cache_dir = tmp_path / "c"
+        argv = self.BASE + ["--cache", str(cache_dir)]
+        cold, warm = str(tmp_path / "cold.json"), str(tmp_path / "warm.json")
+        assert main(argv + ["--json", cold]) == 0
+        for entry in list(cache_dir.glob("*.json")):
+            timing = json.loads(entry.read_text())["wall_time"]
+            (cache_dir / f"{entry.stem}.timing").write_text(repr(timing))
+        capsys.readouterr()
+        assert main(argv + ["--json", warm]) == 0
+        assert "(0 cells computed, 4 served from cache)" in capsys.readouterr().out
+        with open(cold, "rb") as a, open(warm, "rb") as b:
+            assert a.read() == b.read()
+        gc = ["cache", "gc", "--cache", str(cache_dir), "--older-than"]
+        assert main(gc + ["1h"]) == 0  # prunes no entry, clears sidecars
+        assert not list(cache_dir.glob("*.timing"))
+        assert len(DirectoryCache(cache_dir)) == 4
+        assert main(gc + ["0s"]) == 0
+        assert sorted(p.name for p in cache_dir.iterdir()) == []
 
 
 class TestCacheCli:
@@ -1095,7 +1167,7 @@ class TestCacheCli:
         out = capsys.readouterr().out
         assert "backend        : dir" in out
         assert "entries        : 1" in out
-        assert "timing coverage: 1/1" in out
+        assert "timing coverage" not in out
         assert main(
             ["cache", "gc", "--cache", cache_dir, "--older-than", "0s"]
         ) == 0

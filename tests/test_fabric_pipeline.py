@@ -379,21 +379,22 @@ class TestLockFreeStats:
 
 
 class TestStripedLocks:
-    def test_stripes_require_thread_safe_backend(self, tmp_path):
+    def test_stripes_require_thread_safe_backend(self):
+        class SerialCache(MemoryCache):
+            thread_safe = False
+
+        srv = CacheServer(SerialCache())  # collapses to one stripe
+        assert len(srv._records) == 1
+        with pytest.raises(InvalidParameterError, match="thread"):
+            CacheServer(SerialCache(), stripes=4)
+
+    def test_thread_safe_backend_gets_striped(self, tmp_path):
         from repro.engine import SqliteCache
 
-        sqlite = SqliteCache(tmp_path / "c.db")
-        try:
-            srv = CacheServer(sqlite)  # collapses to one stripe
-            assert len(srv._records) == 1
-            with pytest.raises(InvalidParameterError, match="thread"):
-                CacheServer(sqlite, stripes=4)
-        finally:
-            sqlite.close()
-
-    def test_thread_safe_backend_gets_striped(self):
         srv = CacheServer(MemoryCache())
         assert len(srv._records) > 1
+        with SqliteCache(tmp_path / "c.db") as sqlite:
+            assert len(CacheServer(sqlite)._records) > 1
         narrow = CacheServer(MemoryCache(), stripes=2)
         assert len(narrow._records) == 2
         with pytest.raises(InvalidParameterError, match="stripes"):

@@ -308,7 +308,8 @@ class TestSweepSubcommand:
 
 
 class TestSweepWorkloadAxis:
-    """CLI coverage for the workload axis, streaming, and LPT sharding."""
+    """CLI coverage for the workload axis, streaming, and shard files
+    older builds wrote with the measured-cost (LPT) strategy."""
 
     def test_workload_axis_sweep(self, tmp_path, capsys):
         out_path = str(tmp_path / "cells.json")
@@ -370,30 +371,66 @@ class TestSweepWorkloadAxis:
         err = capsys.readouterr().err
         assert "[1/2]" in err and "[2/2]" in err and "pd" in err
 
-    def test_lpt_sharded_sweep_merges_byte_identical(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache.db")
-        base = [
-            "sweep", "poisson", "-n", "5", "--alphas", "3.0", "--ms", "1",
-            "--algorithms", "pd,oa", "--seeds", "0,1",
-            "--cache", cache, "--cache-backend", "sqlite",
-        ]
-        full, merged = str(tmp_path / "full.json"), str(tmp_path / "m.json")
-        shards = [str(tmp_path / f"s{i}.json") for i in range(2)]
-        # warm the cache so LPT schedules from *measured* timings
-        assert main(base + ["--json", full]) == 0
-        for index, shard_path in enumerate(shards):
-            argv = base + ["--shard", f"{index}/2", "--shard-strategy",
-                           "lpt", "--json", shard_path]
+    LPT_BASE = [
+        "sweep", "poisson", "-n", "5", "--alphas", "3.0", "--ms", "1",
+        "--algorithms", "pd,oa", "--seeds", "0,1",
+    ]
+
+    def _parent_lpt_shards(self, tmp_path, owned, assignments):
+        """Shard files in the format older builds wrote for
+        ``--shard-strategy lpt``: a non-round-robin split carried by
+        ``positions``, stamped with an assignment fingerprint. Returns
+        the paths plus the unsharded cells JSON path."""
+        full = str(tmp_path / "full.json")
+        assert main(self.LPT_BASE + ["--json", full]) == 0
+        by_position = {}
+        for index in range(2):
+            path = str(tmp_path / f"rr{index}.json")
+            argv = self.LPT_BASE + ["--shard", f"{index}/2", "--json", path]
             assert main(argv) == 0
+            shard = load_json(path)
+            by_position.update(zip(shard["positions"], shard["records"]))
+        paths = []
+        for index, (positions, fingerprint) in enumerate(
+            zip(owned, assignments)
+        ):
+            path = str(tmp_path / f"lpt{index}.json")
+            save_json(
+                {
+                    "schema": 1,
+                    "kind": "sweep-shard",
+                    "experiment": shard["experiment"],
+                    "shard": [index, 2],
+                    "strategy": "lpt",
+                    "assignment": fingerprint,
+                    "total": len(by_position),
+                    "positions": positions,
+                    "records": [by_position[p] for p in positions],
+                },
+                path,
+            )
+            paths.append(path)
+        return paths, full
+
+    def test_parent_lpt_shard_files_merge_byte_identical(self, tmp_path, capsys):
+        shards, full = self._parent_lpt_shards(
+            tmp_path, [[3, 0, 1], [2]], ["same", "same"]
+        )
+        merged = str(tmp_path / "merged.json")
         assert main(["sweep", "--merge", *shards, "--json", merged]) == 0
         capsys.readouterr()
         with open(full) as f_full, open(merged) as f_merged:
             assert f_full.read() == f_merged.read()
-        # the shard files record the strategy and their owned positions
-        shard_payload = load_json(shards[0])
-        assert shard_payload["strategy"] == "lpt"
-        positions = shard_payload["positions"] + load_json(shards[1])["positions"]
-        assert sorted(positions) == list(range(4))  # pd,oa x seeds 0,1
+
+    def test_lpt_strategy_rejected_by_argparse(self, tmp_path, capsys):
+        argv = self.LPT_BASE + [
+            "--shard", "0/2", "--shard-strategy", "lpt",
+            "--json", str(tmp_path / "s.json"),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'lpt'" in capsys.readouterr().err
 
     def test_shard_index_validated(self, capsys):
         assert main([
@@ -402,22 +439,13 @@ class TestSweepWorkloadAxis:
         assert "0 <= I < K" in capsys.readouterr().err
 
     def test_merge_diagnoses_divergent_lpt_assignments(self, tmp_path, capsys):
-        """LPT shards cut against a *live* shared cache disagree on the
-        split (earlier shards write timings that change later shards'
-        cost vectors); --merge must say so, not interleave garbage."""
-        cache = str(tmp_path / "cache.db")
-        base = [
-            "sweep", "poisson", "-n", "5", "--alphas", "3.0", "--ms", "1",
-            "--algorithms", "pd,oa", "--seeds", "0,1",
-            "--cache", cache, "--cache-backend", "sqlite",
-        ]
-        shards = [str(tmp_path / f"s{i}.json") for i in range(2)]
-        for index, shard_path in enumerate(shards):
-            # no warm-up run: shard 0's fresh timings skew shard 1's split
-            argv = base + ["--shard", f"{index}/2", "--shard-strategy",
-                           "lpt", "--json", shard_path]
-            assert main(argv) == 0
-        code = main(["sweep", "--merge", *shards])
-        err = capsys.readouterr().err
-        if code == 2:  # the splits actually diverged (the common case)
-            assert "timing snapshots" in err or "partition" in err
+        """LPT shards an older build cut against a *live* shared cache
+        disagree on the split (earlier shards wrote timings that changed
+        later shards' cost vectors, so positions overlap); --merge must
+        say so, not interleave garbage."""
+        shards, _ = self._parent_lpt_shards(
+            tmp_path, [[0, 1, 3], [1, 2]], ["split-a", "split-b"]
+        )
+        capsys.readouterr()
+        assert main(["sweep", "--merge", *shards]) == 2
+        assert "different shard assignments" in capsys.readouterr().err

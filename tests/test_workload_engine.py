@@ -1,4 +1,4 @@
-"""Tests for streaming cost-aware execution and the workload registry.
+"""Tests for streaming execution, sharding and the workload registry.
 
 Four guarantees, each load-bearing for large distributed sweeps:
 
@@ -10,9 +10,8 @@ Four guarantees, each load-bearing for large distributed sweeps:
   record exactly once (serial or process pool), callbacks fire in
   completion order, and :meth:`BatchRunner.run` stays byte-identical to
   the pre-streaming request-order output;
-* **cost-aware sharding** — LPT shard schedules built from measured
-  (cached) per-cell wall times merge back bit-identical to round-robin
-  and unsharded runs;
+* **sharding** — round-robin shards are positional slices of the
+  request list;
 * **timing round-trip** — the measured ``wall_time`` survives cache and
   shard-file round-trips, and unknown payload keys fail loudly.
 """
@@ -30,12 +29,10 @@ from repro.engine import (
     RunRequest,
     SqliteCache,
     aggregate_records,
-    merge_shards,
     record_from_payload,
     record_to_payload,
     request_key,
     run_experiment,
-    shard_assignment,
     shard_requests,
 )
 from repro.errors import InvalidParameterError, ReproError
@@ -148,6 +145,14 @@ class TestWorkloadRegistry:
             "bursty?base_span=nan",
             "bursty?base_span=inf",
             "lowerbound?alpha=0",
+            "laminar?branching=1",
+            "laminar?branching=0",
+            "poisson?seed=-1",
+            "slotted?seed=-1",
+            "uniform?seed=-1",
+            "poisson?alpha=1e300",
+            "poisson?mean_workload=1e300",
+            "batch?deadline=1e-300",
         ],
     )
     def test_out_of_range_family_knobs_raise_typed(self, spec):
@@ -157,6 +162,20 @@ class TestWorkloadRegistry:
         knob = spec.split("?")[1].split("=")[0]
         with pytest.raises(InvalidParameterError, match=knob):
             WORKLOADS.build(spec, 8, seed=0)
+
+    def test_call_site_negative_seed_raises_typed(self):
+        with pytest.raises(InvalidParameterError, match="seed=-1"):
+            WORKLOADS.build("poisson", 8, seed=-1)
+
+    @pytest.mark.parametrize("branching", [2, 3, 1000, 10**6])
+    def test_laminar_job_count_never_exceeds_n(self, branching):
+        import time
+
+        start = time.perf_counter()
+        for n in (1, 8, 40):
+            inst = WORKLOADS.build(f"laminar?branching={branching}", n, seed=0)
+            assert 1 <= len(inst.jobs) <= n
+        assert time.perf_counter() - start < 5.0
 
     def test_pinned_params_clash_with_call_site_kwargs(self):
         info = WORKLOADS.info("poisson?alpha=2.0")
@@ -467,123 +486,14 @@ class TestStreaming:
         assert len(cells) == 1 and cells[0].runs == 2
 
 
-class TestCostAwareSharding:
-    """Tentpole: LPT schedules from measured costs merge bit-identical."""
+class TestSharding:
+    """Round-robin shards and sqlite schema migration."""
 
     def test_rr_assignment_is_positional(self):
-        assert shard_assignment(7, 3) == [0, 1, 2, 0, 1, 2, 0]
+        assert shard_requests(list(range(7)), (1, 3)) == [1, 4]
+        assert shard_requests(list(range(7)), (0, 3)) == [0, 3, 6]
 
-    def test_lpt_balances_measured_costs(self):
-        costs = [8.0, 1.0, 1.0, 1.0, 1.0, 4.0, 2.0, 2.0]
-        assignment = shard_assignment(8, 2, strategy="lpt", costs=costs)
-        loads = [0.0, 0.0]
-        for position, shard in enumerate(assignment):
-            loads[shard] += costs[position]
-        assert abs(loads[0] - loads[1]) <= 2.0  # vs 10 for contiguous halves
-        # deterministic: same inputs, same schedule
-        assert assignment == shard_assignment(8, 2, strategy="lpt", costs=costs)
-
-    def test_lpt_without_costs_balances_counts(self):
-        assignment = shard_assignment(10, 3, strategy="lpt")
-        sizes = [assignment.count(s) for s in range(3)]
-        assert sorted(sizes) == [3, 3, 4]
-
-    def test_lpt_validation(self):
-        with pytest.raises(InvalidParameterError, match="one cost per request"):
-            shard_assignment(3, 2, strategy="lpt", costs=[1.0])
-        with pytest.raises(InvalidParameterError, match="finite"):
-            shard_assignment(2, 2, strategy="lpt", costs=[1.0, math.nan])
-        with pytest.raises(InvalidParameterError, match="unknown shard strategy"):
-            shard_assignment(2, 2, strategy="fair")
-
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_lpt_shards_merge_to_unsharded_measurements(self, count, requests):
-        full = BatchRunner().run(requests)
-        costs = [float(i % 4 + 1) for i in range(len(requests))]
-        shards = [
-            BatchRunner().run(
-                requests, shard=(index, count), strategy="lpt", costs=costs
-            )
-            for index in range(count)
-        ]
-        assignment = shard_assignment(
-            len(requests), count, strategy="lpt", costs=costs
-        )
-        merged = merge_shards(shards, assignment=assignment)
-        assert merged == full  # equality excludes only wall_time
-
-    def test_lpt_shards_partition_the_request_list(self, requests):
-        costs = [float(i + 1) for i in range(len(requests))]
-        slices = [
-            shard_requests(requests, (i, 3), strategy="lpt", costs=costs)
-            for i in range(3)
-        ]
-        assert sum(len(s) for s in slices) == len(requests)
-        flat = [id(r) for s in slices for r in s]
-        assert sorted(flat) == sorted(id(r) for r in requests)
-
-    def test_merge_with_assignment_validates_shapes(self, requests):
-        costs = [1.0] * len(requests)
-        shards = [
-            BatchRunner().run(requests, shard=(i, 2), strategy="lpt", costs=costs)
-            for i in range(2)
-        ]
-        assignment = shard_assignment(len(requests), 2, strategy="lpt", costs=costs)
-        with pytest.raises(InvalidParameterError, match="assignment"):
-            merge_shards([shards[0], shards[1][:-1]], assignment=assignment)
-        with pytest.raises(InvalidParameterError, match="assignment"):
-            merge_shards(shards, assignment=assignment[:-1])
-
-    def test_estimate_costs_memoizes_duplicate_cells(self, tmp_path):
-        inst = poisson_instance(5, m=1, alpha=3.0, seed=7)
-        cache = SqliteCache(tmp_path / "c.db")
-        BatchRunner(cache=cache).run_one("pd", inst)
-        lookups = []
-        real = cache.get_timing
-
-        def counting(key):
-            lookups.append(key)
-            return real(key)
-
-        cache.get_timing = counting
-        runner = BatchRunner(cache=cache)
-        estimates = runner.estimate_costs([RunRequest("pd", inst)] * 4)
-        assert len(set(estimates)) == 1 and len(lookups) == 1
-
-    def test_estimate_costs_reads_cached_timings(self, requests, tmp_path):
-        cold = BatchRunner(cache=tmp_path / "c")
-        assert cold.estimate_costs(requests) == [1.0] * len(requests)
-        assert cold.estimate_costs(requests, default=2.5) == [2.5] * len(requests)
-        fresh = cold.run(requests)
-        warm = BatchRunner(cache=tmp_path / "c")
-        estimates = warm.estimate_costs(requests)
-        assert estimates == [r.wall_time for r in fresh]
-        assert BatchRunner().estimate_costs(requests) == [1.0] * len(requests)
-
-    @pytest.mark.parametrize("backend", [DirectoryCache, SqliteCache])
-    def test_estimates_work_on_any_backend(self, backend, requests, tmp_path):
-        target = tmp_path / ("c" if backend is DirectoryCache else "c.db")
-        BatchRunner(cache=backend(target)).run(requests[:3])
-        estimates = BatchRunner(cache=backend(target)).estimate_costs(requests[:3])
-        assert all(math.isfinite(e) and e > 0.0 for e in estimates)
-
-    def test_sqlite_timing_column_fast_path(self, requests, tmp_path):
-        cache = SqliteCache(tmp_path / "c.db")
-        records = BatchRunner(cache=cache).run(requests[:2])
-        assert cache.get_timing(records[0].key) == records[0].wall_time
-        assert cache.get_timing("missing") is None
-        # a payload without a usable timing answers None, not a crash
-        cache.put("odd", {"v": 1})
-        assert cache.get_timing("odd") is None
-        # legacy rows (NULL column) fall back to the payload itself
-        cache._connect().execute(
-            "UPDATE entries SET wall_time = NULL WHERE key = ?",
-            (records[0].key,),
-        )
-        cache._connect().commit()
-        assert cache.get_timing(records[0].key) == records[0].wall_time
-
-    def test_sqlite_pre_timing_database_migrates(self, tmp_path):
+    def test_sqlite_pre_timestamp_database_migrates(self, tmp_path):
         import sqlite3
 
         path = tmp_path / "old.db"
@@ -597,9 +507,11 @@ class TestCostAwareSharding:
         conn.commit()
         conn.close()
         cache = SqliteCache(path)  # ALTER TABLE migration runs here
-        assert cache.get_timing("k") == 0.5
+        assert cache.get("k") == {"wall_time": 0.5}
         cache.put("k2", {"wall_time": 0.25})
-        assert cache.get_timing("k2") == 0.25
+        assert cache.get("k2") == {"wall_time": 0.25}
+        assert cache.gc(3600.0) == 1  # the undatable legacy row only
+        cache.close()
 
 
 class TestCacheClose:
